@@ -251,13 +251,39 @@ func BenchmarkFPRASSample(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	member := c.MemberFunc()
+	s := c.NewSampler()
 	rng := rand.New(rand.NewPCG(15, 16))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.SampleOnce(c.Doms, member, rng)
+		s.Sample(rng)
 	}
+}
+
+// BenchmarkFPRASPadded runs the full Theorem 6.2 FPRAS (ε=0.25, δ=0.05,
+// one worker) for a keywidth-2 query over ~20 Employee blocks padded with
+// 1000 key-unique filler blocks: the shape of a served approximate probe,
+// whose query reads few of the database's blocks. A sample's cost should
+// follow the blocks the query reads, not the filler.
+func BenchmarkFPRASPadded(b *testing.B) {
+	rng := rand.New(rand.NewPCG(11, 20))
+	db, ks := workload.Employee(rng, 20, 5, 0.4)
+	db, ks = workload.WithFiller(db, ks, "Filler", 1000, 1)
+	in := repairs.MustInstance(db, ks, workload.SameDeptQuery(1, 2))
+	if n := len(in.Blocks); n != 1020 {
+		b.Fatalf("fixture has %d blocks, want 1020", n)
+	}
+	samples := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est, err := in.ApxParallel(0.25, 0.05, 1, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples = est.Samples
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
 }
 
 func BenchmarkFPRASParallel(b *testing.B) {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repaircount/internal/cluster"
-	"repaircount/internal/core"
 	"repaircount/internal/eval"
 	"repaircount/internal/query"
 	"repaircount/internal/relational"
@@ -154,12 +153,12 @@ func kernelBenchmarks() []struct {
 			if err != nil {
 				b.Fatal(err)
 			}
-			member := c.MemberFunc()
+			s := c.NewSampler()
 			rng := rand.New(rand.NewPCG(15, 16))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.SampleOnce(c.Doms, member, rng)
+				s.Sample(rng)
 			}
 		}},
 		{"FPRASParallel20k", func(b *testing.B) {
@@ -169,6 +168,25 @@ func kernelBenchmarks() []struct {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := in.ApxParallelWithSamples(20_000, 0, 42); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"FPRASPadded", func(b *testing.B) {
+			// The full Theorem 6.2 FPRAS (ε=0.25, δ=0.05, one worker) on a
+			// keywidth-2 query over ~20 blocks plus 1000 key-unique filler
+			// blocks: sampling cost must follow the blocks the query reads.
+			rng := rand.New(rand.NewPCG(11, 20))
+			db, ks := workload.Employee(rng, 20, 5, 0.4)
+			db, ks = workload.WithFiller(db, ks, "Filler", 1000, 1)
+			in := repairs.MustInstance(db, ks, workload.SameDeptQuery(1, 2))
+			if n := len(in.Blocks); n != 1020 {
+				b.Fatalf("fixture has %d blocks, want 1020", n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := in.ApxParallel(0.25, 0.05, 1, 42); err != nil {
 					b.Fatal(err)
 				}
 			}

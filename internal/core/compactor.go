@@ -37,14 +37,22 @@ type Compactor struct {
 	Compact func(Certificate) (Selector, bool)
 	// Member, if non-nil, reports whether a solution tuple lies in
 	// ⋃_c unfolding(M(x,c)) directly (e.g. "does this repair entail Q").
-	// When nil, membership is decided against the materialized boxes.
+	// When Member and MemberFactory are both nil, membership is decided
+	// against the materialized boxes.
 	Member func(tuple []Element) bool
 	// MemberFactory, if non-nil, returns a fresh membership predicate that
-	// shares no mutable state with any other; parallel samplers call it
-	// once per worker. A Member built from scratch state (a compiled
-	// matcher) must come with a factory; a stateless Member may leave it
-	// nil.
+	// shares no mutable state with any other; samplers call it once each
+	// and it takes precedence over Member. A predicate built from scratch
+	// state (a compiled matcher) must come as a factory; a stateless Member
+	// may leave it nil.
 	MemberFactory func() func(tuple []Element) bool
+	// Reads lists, in ascending order, the coordinates whose value can
+	// change the membership answer; nil means every coordinate. Samplers
+	// draw only these coordinates and hold every other one at its domain's
+	// first element, so a Reads that omits a coordinate membership depends
+	// on biases every estimate. UniverseSize and the sample bound still
+	// range over all of Doms.
+	Reads []int
 }
 
 // Validate checks structural invariants: domains valid, every certificate's
@@ -53,6 +61,11 @@ type Compactor struct {
 func (c *Compactor) Validate() error {
 	if err := ValidateDomains(c.Doms); err != nil {
 		return fmt.Errorf("core: compactor %s: %w", c.Name, err)
+	}
+	for j, i := range c.Reads {
+		if i < 0 || i >= len(c.Doms) || (j > 0 && i <= c.Reads[j-1]) {
+			return fmt.Errorf("core: compactor %s: read set %v is not an ascending list of coordinates below %d", c.Name, c.Reads, len(c.Doms))
+		}
 	}
 	for cert := range c.Certificates() {
 		sel, ok := c.Compact(cert)
@@ -85,21 +98,34 @@ func (c *Compactor) Boxes() []Selector {
 	return SortSelectors(DedupeSelectors(sels))
 }
 
-// MemberFunc returns the membership predicate: the explicit Member if set,
-// otherwise a test against the materialized boxes.
+// MemberFunc returns a membership predicate: a fresh one from
+// MemberFactory when set, else Member, else a test against the
+// materialized boxes.
 func (c *Compactor) MemberFunc() func([]Element) bool {
-	if c.Member != nil {
-		return c.Member
+	return c.memberFactory()()
+}
+
+// memberFactory returns the source of membership predicates, in
+// MemberFunc's order of preference. Member without a factory is shared by
+// every caller, so it must be safe for concurrent use; the boxes test is
+// stateless and shared safely.
+func (c *Compactor) memberFactory() func() func([]Element) bool {
+	if c.MemberFactory != nil {
+		return c.MemberFactory
 	}
-	boxes := c.Boxes()
-	return func(tuple []Element) bool {
-		for _, b := range boxes {
-			if b.ContainsTuple(tuple) {
-				return true
+	if c.Member == nil {
+		boxes := c.Boxes()
+		shared := func(tuple []Element) bool {
+			for _, b := range boxes {
+				if b.ContainsTuple(tuple) {
+					return true
+				}
 			}
+			return false
 		}
-		return false
+		return func() func([]Element) bool { return shared }
 	}
+	return func() func([]Element) bool { return c.Member }
 }
 
 // HasSolution reports whether unfold_M(x) > 0: some certificate is valid.

@@ -473,32 +473,143 @@ func TestApxGuaranteeStatistical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
-	ds := doms3()
-	sels := []Selector{
-		MustSelector(ds, Pin{0, "a1"}, Pin{1, "b3"}),
-		MustSelector(ds, Pin{1, "b2"}, Pin{2, "c1"}),
+	plain := doms3()
+	// The padded space adds coordinates no box pins, excluded from the
+	// read set: the sampler never draws them, yet m and |U| span them.
+	padded := append(doms3(),
+		MustDomain("P1", "p1", "p2"),
+		MustDomain("P2", "q1", "q2", "q3"),
+		MustDomain("P3", "r1"),
+		MustDomain("P4", "s1", "s2", "s3"),
+	)
+	for _, tc := range []struct {
+		name  string
+		ds    []Domain
+		reads []int
+	}{
+		{"plain", plain, nil},
+		{"padded", padded, []int{0, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sels := []Selector{
+				MustSelector(tc.ds, Pin{0, "a1"}, Pin{1, "b3"}),
+				MustSelector(tc.ds, Pin{1, "b2"}, Pin{2, "c1"}),
+			}
+			c := toyCompactor("stat", tc.ds, 2, sels)
+			c.Reads = tc.reads
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			exact, err := c.CountExact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const eps, delta = 0.2, 0.2
+			const trials = 60
+			ok := 0
+			for seed := 0; seed < trials; seed++ {
+				rng := rand.New(rand.NewPCG(uint64(seed), 1000))
+				est, err := c.Apx(eps, delta, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if RelativeError(est.Value, exact) <= eps {
+					ok++
+				}
+			}
+			// Expect ≥ (1−δ)·trials successes; allow slack for statistical noise
+			// (the bound is conservative in practice, so this rarely binds).
+			if ok < int(float64(trials)*(1-2*delta)) {
+				t.Fatalf("ε-accuracy in %d/%d trials; guarantee 1−δ = %.2f violated badly", ok, trials, 1-delta)
+			}
+		})
 	}
-	c := toyCompactor("stat", ds, 2, sels)
-	exact, err := c.CountExact()
+}
+
+// A sampler draws exactly the read coordinates with more than one
+// element, uniformly, and holds every other coordinate at its domain's
+// first element.
+func TestSamplerDrawsOnlyReads(t *testing.T) {
+	ds := append(doms3(), MustDomain("one", "o1"), MustDomain("S5", "e1", "e2", "e3"))
+	seen := make([]map[Element]int, len(ds))
+	for i := range seen {
+		seen[i] = map[Element]int{}
+	}
+	c := toyCompactor("reads", ds, 2, nil)
+	c.Reads = []int{1, 3}
+	c.Member = func(tuple []Element) bool {
+		for i, e := range tuple {
+			seen[i][e]++
+		}
+		return tuple[1] == "b1"
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := drawPositions(ds, c.Reads); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("draw positions %v, want [1] (coordinate 3 has one element)", got)
+	}
+	const n = 3000
+	est, err := c.ApxWithSamples(n, rand.New(rand.NewPCG(1, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const eps, delta = 0.2, 0.2
-	const trials = 60
-	ok := 0
-	for seed := 0; seed < trials; seed++ {
-		rng := rand.New(rand.NewPCG(uint64(seed), 1000))
-		est, err := c.Apx(eps, delta, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if RelativeError(est.Value, exact) <= eps {
-			ok++
+	for i, m := range seen {
+		switch {
+		case i == 1:
+			for _, e := range ds[1].Elems {
+				if m[e] < n/5 {
+					t.Fatalf("read coordinate drew %s %d times in %d trials", e, m[e], n)
+				}
+			}
+		case len(m) != 1 || m[ds[i].Elems[0]] != n:
+			t.Fatalf("unread coordinate %d took values %v", i, m)
 		}
 	}
-	// Expect ≥ (1−δ)·trials successes; allow slack for statistical noise
-	// (the bound is conservative in practice, so this rarely binds).
-	if ok < int(float64(trials)*(1-2*delta)) {
-		t.Fatalf("ε-accuracy in %d/%d trials; guarantee 1−δ = %.2f violated badly", ok, trials, 1-delta)
+	if want := UniverseSize(ds); est.Value.Cmp(new(big.Float).Quo(
+		new(big.Float).Mul(new(big.Float).SetInt(want), big.NewFloat(float64(est.Hits))), big.NewFloat(n))) != 0 {
+		t.Fatalf("estimate %v is not |U|·hits/t over the full space", est.Value)
+	}
+	for _, bad := range [][]int{{5}, {-1}, {2, 1}, {1, 1}} {
+		c.Reads = bad
+		if err := c.Validate(); err == nil {
+			t.Fatalf("read set %v accepted", bad)
+		}
+	}
+}
+
+// Karp–Luby draws only coordinates some box pins: coordinates no box pins
+// change neither a fixed-seed run's hits nor anything but W's factor.
+func TestKarpLubyPaddingInvariance(t *testing.T) {
+	base := doms3()
+	padded := append(doms3(), MustDomain("P1", "p1", "p2"), MustDomain("P2", "q1", "q2", "q3", "q4"))
+	boxes := func(ds []Domain) []Selector {
+		return []Selector{
+			MustSelector(ds, Pin{0, "a1"}, Pin{1, "b1"}),
+			MustSelector(ds, Pin{1, "b2"}),
+			MustSelector(ds, Pin{0, "a2"}, Pin{2, "c1"}),
+		}
+	}
+	for _, workers := range []int{0, 1, 3} {
+		run := func(ds []Domain) Estimate {
+			var est Estimate
+			var err error
+			if workers == 0 {
+				est, err = KarpLuby(ds, boxes(ds), 4000, rand.New(rand.NewPCG(3, 3)))
+			} else {
+				est, err = KarpLubyParallel(ds, boxes(ds), 4000, workers, 11)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return est
+		}
+		b, p := run(base), run(padded)
+		if b.Hits != p.Hits || b.Hits == b.Samples {
+			t.Fatalf("workers %d: padded hits %d, base %d of %d", workers, p.Hits, b.Hits, b.Samples)
+		}
+		if scaled := new(big.Float).Mul(b.Value, big.NewFloat(8)); scaled.Cmp(p.Value) != 0 {
+			t.Fatalf("workers %d: padded estimate %v, want 8 × %v", workers, p.Value, b.Value)
+		}
 	}
 }

@@ -17,6 +17,16 @@ import (
 // coordinates pinned, so its box has at least |U|/m^k tuples) makes the
 // hit probability polynomially bounded below, so
 // t = (2+ε)·m^k/ε² · ln(2/δ) samples suffice by Chernoff's inequality.
+//
+// A trial draws only the coordinates in the compactor's read set
+// (Compactor.Reads) that have more than one element; every other
+// coordinate keeps a fixed element. Membership does not depend on those
+// coordinates, and the drawn ones are still independent and uniform, so
+// each trial's hit indicator has exactly the law of a trial over the whole
+// tuple: hits/t, |U|·hits/t and the (ε,δ) guarantee are unchanged, while a
+// trial costs time in the read set's size, not in n. For #CQA the read set
+// is the blocks of the query's predicates, so a probe's sampling cost
+// follows the blocks the query can see, not the database.
 
 // Estimate is the outcome of a randomized counting run.
 type Estimate struct {
@@ -35,15 +45,67 @@ func (e Estimate) Float64() float64 {
 	return v
 }
 
-// SampleOnce is one trial of Algorithm 3: draw s_i ∈ S_i uniformly and
-// independently for every i, and report whether (s1,...,sn) belongs to
-// ⋃_c unfolding(M(x,c)).
-func SampleOnce(doms []Domain, member func([]Element) bool, rng *rand.Rand) bool {
+// Sampler runs Algorithm 3 trials for one compactor on a reused tuple:
+// each trial draws the read coordinates uniformly and independently and
+// reports whether the tuple belongs to ⋃_c unfolding(M(x,c)). A Sampler
+// owns its tuple and membership predicate and is not safe for concurrent
+// use; parallel loops make one per worker.
+type Sampler struct {
+	doms   []Domain
+	draw   []int // coordinates drawn per trial, ascending
+	tuple  []Element
+	member func([]Element) bool
+}
+
+// NewSampler returns a sampler with its own membership predicate.
+func (c *Compactor) NewSampler() *Sampler {
+	return newSampler(c.Doms, drawPositions(c.Doms, c.Reads), c.memberFactory()())
+}
+
+func newSampler(doms []Domain, draw []int, member func([]Element) bool) *Sampler {
+	return &Sampler{doms: doms, draw: draw, tuple: baseTuple(doms), member: member}
+}
+
+// Sample runs one trial.
+func (s *Sampler) Sample(rng *rand.Rand) bool {
+	for _, i := range s.draw {
+		elems := s.doms[i].Elems
+		s.tuple[i] = elems[rng.IntN(len(elems))]
+	}
+	return s.member(s.tuple)
+}
+
+// drawPositions returns the coordinates a trial draws: the read set (every
+// coordinate when reads is nil) without the one-element domains, whose
+// coordinate holds that element in every tuple anyway.
+func drawPositions(doms []Domain, reads []int) []int {
+	draw := []int{}
+	add := func(i int) {
+		if doms[i].Size() > 1 {
+			draw = append(draw, i)
+		}
+	}
+	if reads == nil {
+		for i := range doms {
+			add(i)
+		}
+	}
+	for _, i := range reads {
+		add(i)
+	}
+	return draw
+}
+
+// baseTuple returns the tuple holding every domain's first element: the
+// value of each coordinate a sampler never draws.
+func baseTuple(doms []Domain) []Element {
 	tuple := make([]Element, len(doms))
 	for i, d := range doms {
-		tuple[i] = d.Elems[rng.IntN(d.Size())]
+		if d.Size() > 0 {
+			tuple[i] = d.Elems[0]
+		}
 	}
-	return member(tuple)
+	return tuple
 }
 
 // SampleBound returns the paper's sample count
@@ -71,18 +133,29 @@ const MaxApxSamples = 50_000_000
 // need the Karp–Luby sampler instead — see §7.2) or if t exceeds
 // MaxApxSamples.
 func (c *Compactor) Apx(eps, delta float64, rng *rand.Rand) (Estimate, error) {
-	if err := checkEpsDelta(eps, delta); err != nil {
+	t, err := c.apxSamples(eps, delta)
+	if err != nil {
 		return Estimate{}, err
 	}
+	return c.ApxWithSamples(t, rng)
+}
+
+// apxSamples checks (ε,δ) and returns the Theorem 6.2 sample count t,
+// with m taken over every domain, failing for unbounded compactors and
+// for t above MaxApxSamples.
+func (c *Compactor) apxSamples(eps, delta float64) (int, error) {
+	if err := checkEpsDelta(eps, delta); err != nil {
+		return 0, err
+	}
 	if c.K < 0 {
-		return Estimate{}, fmt.Errorf("core: Apx needs a bounded k-compactor; %s is unbounded (SpanLL) — use KarpLuby", c.Name)
+		return 0, fmt.Errorf("core: Apx needs a bounded k-compactor; %s is unbounded (SpanLL) — use KarpLuby", c.Name)
 	}
 	m := MaxDomainSize(c.Doms)
 	tBig := SampleBound(m, c.K, eps, delta)
 	if !tBig.IsInt64() || tBig.Int64() > MaxApxSamples {
-		return Estimate{}, fmt.Errorf("core: Apx sample bound %s exceeds cap %d (m=%d, k=%d)", tBig, MaxApxSamples, m, c.K)
+		return 0, fmt.Errorf("core: Apx sample bound %s exceeds cap %d (m=%d, k=%d)", tBig, MaxApxSamples, m, c.K)
 	}
-	return c.ApxWithSamples(int(tBig.Int64()), rng)
+	return int(tBig.Int64()), nil
 }
 
 // ApxWithSamples runs the Algorithm 3 estimator with an explicit sample
@@ -92,19 +165,24 @@ func (c *Compactor) ApxWithSamples(t int, rng *rand.Rand) (Estimate, error) {
 	if t <= 0 {
 		return Estimate{}, fmt.Errorf("core: sample budget must be positive, got %d", t)
 	}
-	member := c.MemberFunc()
+	s := c.NewSampler()
 	hits := 0
 	for i := 0; i < t; i++ {
-		if SampleOnce(c.Doms, member, rng) {
+		if s.Sample(rng) {
 			hits++
 		}
 	}
-	u := new(big.Float).SetInt(UniverseSize(c.Doms))
+	return scaledEstimate(UniverseSize(c.Doms), hits, t), nil
+}
+
+// scaledEstimate returns the estimate size·hits/t of a t-trial run, where
+// size is the sample space's size.
+func scaledEstimate(size *big.Int, hits, t int) Estimate {
 	est := new(big.Float).Quo(
-		new(big.Float).Mul(u, big.NewFloat(float64(hits))),
+		new(big.Float).Mul(new(big.Float).SetInt(size), big.NewFloat(float64(hits))),
 		big.NewFloat(float64(t)),
 	)
-	return Estimate{Value: est, Samples: t, Hits: hits}, nil
+	return Estimate{Value: est, Samples: t, Hits: hits}
 }
 
 func checkEpsDelta(eps, delta float64) error {

@@ -20,6 +20,11 @@ import (
 // W = Σ|box|; the indicator "b is the first box (in canonical order)
 // containing s" succeeds exactly once per tuple in the union, so the hit
 // probability is |⋃ boxes| / W ≥ 1/(#boxes), and W·(hits/t) is unbiased.
+//
+// Coverage reads only coordinates that some box pins, so a trial draws
+// only those (the unpinned ones of the drawn box) and leaves every other
+// coordinate at a fixed element: the coverage indicator keeps its law, and
+// a trial costs time in the pinned coordinates, not in the domain count.
 
 // KarpLubyBound returns the sample count t = ⌈(2+ε)·b/ε²·ln(2/δ)⌉ that
 // suffices for the (ε,δ) guarantee with b boxes (hit probability ≥ 1/b).
@@ -39,77 +44,116 @@ func KarpLuby(doms []Domain, boxes []Selector, t int, rng *rand.Rand) (Estimate,
 	if t <= 0 {
 		return Estimate{}, fmt.Errorf("core: sample budget must be positive, got %d", t)
 	}
-	boxes = SortSelectors(DedupeSelectors(boxes))
-	if len(boxes) == 0 {
+	kl, ok := newKarpLuby(doms, boxes)
+	if !ok {
 		return Estimate{Value: big.NewFloat(0), Samples: t}, nil
 	}
-	cum, w := cumulativeBoxWeights(doms, boxes)
-	if w.Sign() == 0 {
-		return Estimate{Value: big.NewFloat(0), Samples: t}, nil
-	}
-	tuple := make([]Element, len(doms))
+	trial := kl.trialFunc()
 	hits := 0
-	for trial := 0; trial < t; trial++ {
-		if karpLubyTrial(doms, boxes, cum, w, tuple, rng) {
+	for i := 0; i < t; i++ {
+		if trial(rng) {
 			hits++
 		}
 	}
-	wf := new(big.Float).SetInt(w)
-	est := new(big.Float).Quo(
-		new(big.Float).Mul(wf, big.NewFloat(float64(hits))),
-		big.NewFloat(float64(t)),
-	)
-	return Estimate{Value: est, Samples: t, Hits: hits}, nil
+	return scaledEstimate(kl.w, hits, t), nil
 }
 
-// cumulativeBoxWeights returns the running box-size sums used for weighted
-// box selection, plus the total weight W = Σ|box|.
-func cumulativeBoxWeights(doms []Domain, boxes []Selector) ([]*big.Int, *big.Int) {
-	cum := make([]*big.Int, len(boxes))
-	w := new(big.Int)
-	for i, b := range boxes {
-		w.Add(w, b.BoxSize(doms))
-		cum[i] = new(big.Int).Set(w)
+// karpLuby is the read-only state of one Karp–Luby run, shared by its
+// workers.
+type karpLuby struct {
+	doms  []Domain
+	boxes []Selector // deduplicated, canonical order
+	draw  []int      // coordinates some box pins, minus one-element domains
+	// Every box spans each coordinate no box pins whole, so all box sizes
+	// share the factor Π|S_i| over those coordinates. Boxes are picked by
+	// their size over the pinned coordinates alone (same probabilities,
+	// smaller numbers): cum holds those running sums, pick their total,
+	// and w = pick × the shared factor = Σ|box| scales the estimate.
+	cum  []*big.Int
+	pick *big.Int
+	w    *big.Int
+}
+
+// newKarpLuby prepares a run over the boxes; ok is false when the union is
+// empty (no boxes, or every box empty), whose estimate is 0.
+func newKarpLuby(doms []Domain, boxes []Selector) (kl *karpLuby, ok bool) {
+	boxes = SortSelectors(DedupeSelectors(boxes))
+	pinned := make([]bool, len(doms))
+	for _, b := range boxes {
+		for _, p := range b {
+			pinned[p.Index] = true
+		}
 	}
-	return cum, w
-}
-
-// karpLubyTrial runs one trial of the complex-sample-space estimator: draw
-// a box with probability proportional to its size, a tuple uniformly
-// inside it (written into the reused tuple buffer), and report whether the
-// drawn box is the first box (in canonical order) containing the tuple.
-func karpLubyTrial(doms []Domain, boxes []Selector, cum []*big.Int, w *big.Int, tuple []Element, rng *rand.Rand) bool {
-	r := UniformBigInt(rng, w)
-	// Binary search for the first cumulative weight exceeding r.
-	lo, hi := 0, len(boxes)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid].Cmp(r) > 0 {
-			hi = mid
+	var reads []int
+	shared := big.NewInt(1)
+	for i, p := range pinned {
+		if p {
+			reads = append(reads, i)
 		} else {
-			lo = mid + 1
+			shared.Mul(shared, big.NewInt(int64(doms[i].Size())))
 		}
 	}
-	b := boxes[lo]
-	// Uniform tuple inside box b.
-	j := 0
-	for i, d := range doms {
-		if j < len(b) && b[j].Index == i {
-			tuple[i] = b[j].Elem
-			j++
-			continue
+	kl = &karpLuby{doms: doms, boxes: boxes, draw: drawPositions(doms, reads),
+		cum: make([]*big.Int, len(boxes)), pick: new(big.Int)}
+	for bi, b := range boxes {
+		size := big.NewInt(1)
+		j := 0
+		for _, i := range reads {
+			if j < len(b) && b[j].Index == i {
+				j++
+				continue
+			}
+			size.Mul(size, big.NewInt(int64(doms[i].Size())))
 		}
-		tuple[i] = d.Elems[rng.IntN(d.Size())]
+		kl.pick.Add(kl.pick, size)
+		kl.cum[bi] = new(big.Int).Set(kl.pick)
 	}
-	// Coverage test: is b the first box containing the tuple?
-	first := -1
-	for i, other := range boxes {
-		if other.ContainsTuple(tuple) {
-			first = i
-			break
+	kl.w = new(big.Int).Mul(kl.pick, shared)
+	return kl, kl.w.Sign() > 0
+}
+
+// trialFunc returns a trial of the complex-sample-space estimator over its
+// own tuple buffer: draw a box with probability proportional to its size,
+// a tuple uniformly inside it, and report whether the drawn box is the
+// first box (in canonical order) containing the tuple.
+func (kl *karpLuby) trialFunc() func(*rand.Rand) bool {
+	tuple := baseTuple(kl.doms)
+	return func(rng *rand.Rand) bool {
+		r := UniformBigInt(rng, kl.pick)
+		// Binary search for the first cumulative weight exceeding r.
+		lo, hi := 0, len(kl.boxes)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if kl.cum[mid].Cmp(r) > 0 {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
 		}
+		b := kl.boxes[lo]
+		// Uniform tuple inside box b on the read coordinates: b's pins
+		// there, a uniform draw everywhere else. Pins on one-element
+		// domains already hold in every tuple.
+		j := 0
+		for _, i := range kl.draw {
+			for j < len(b) && b[j].Index < i {
+				j++
+			}
+			if j < len(b) && b[j].Index == i {
+				tuple[i] = b[j].Elem
+				continue
+			}
+			elems := kl.doms[i].Elems
+			tuple[i] = elems[rng.IntN(len(elems))]
+		}
+		// Coverage test: is b the first box containing the tuple?
+		for i, other := range kl.boxes {
+			if other.ContainsTuple(tuple) {
+				return i == lo
+			}
+		}
+		return false
 	}
-	return first == lo
 }
 
 // KarpLubyAuto runs KarpLuby with the (ε,δ) sample bound. It works for

@@ -39,62 +39,21 @@ func shardSize(t, shards, shard int) int {
 	return n
 }
 
-// memberFactory returns a per-worker membership predicate: MemberFactory
-// when set, the boxes fallback otherwise (stateless, shared safely), and
-// Member itself as a last resort for callers that set only Member and
-// guarantee it is safe for concurrent use.
-func (c *Compactor) memberFactory() func() func([]Element) bool {
-	if c.MemberFactory != nil {
-		return c.MemberFactory
-	}
-	if c.Member == nil {
-		boxes := c.Boxes()
-		shared := func(tuple []Element) bool {
-			for _, b := range boxes {
-				if b.ContainsTuple(tuple) {
-					return true
-				}
-			}
-			return false
-		}
-		return func() func([]Element) bool { return shared }
-	}
-	return func() func([]Element) bool { return c.Member }
-}
-
 // ApxParallel is Apx with the sampling loop sharded across worker
 // goroutines. workers ≤ 0 selects GOMAXPROCS. The result for a fixed seed
 // is identical across runs and worker counts.
 func (c *Compactor) ApxParallel(eps, delta float64, workers int, seed uint64) (Estimate, error) {
-	if err := checkEpsDelta(eps, delta); err != nil {
-		return Estimate{}, err
-	}
-	if c.K < 0 {
-		return Estimate{}, fmt.Errorf("core: ApxParallel needs a bounded k-compactor; %s is unbounded (SpanLL) — use KarpLubyParallel", c.Name)
-	}
-	m := MaxDomainSize(c.Doms)
-	tBig := SampleBound(m, c.K, eps, delta)
-	if !tBig.IsInt64() || tBig.Int64() > MaxApxSamples {
-		return Estimate{}, fmt.Errorf("core: Apx sample bound %s exceeds cap %d (m=%d, k=%d)", tBig, MaxApxSamples, m, c.K)
-	}
-	return c.ApxParallelWithSamples(int(tBig.Int64()), workers, seed)
+	return c.ApxParallelStop(eps, delta, workers, seed, nil)
 }
 
 // ApxParallelStop is ApxParallel with a cooperative stop flag threaded
 // into the sampling loop (see ApxParallelWithSamplesStop).
 func (c *Compactor) ApxParallelStop(eps, delta float64, workers int, seed uint64, stop *Stop) (Estimate, error) {
-	if err := checkEpsDelta(eps, delta); err != nil {
+	t, err := c.apxSamples(eps, delta)
+	if err != nil {
 		return Estimate{}, err
 	}
-	if c.K < 0 {
-		return Estimate{}, fmt.Errorf("core: ApxParallel needs a bounded k-compactor; %s is unbounded (SpanLL) — use KarpLubyParallel", c.Name)
-	}
-	m := MaxDomainSize(c.Doms)
-	tBig := SampleBound(m, c.K, eps, delta)
-	if !tBig.IsInt64() || tBig.Int64() > MaxApxSamples {
-		return Estimate{}, fmt.Errorf("core: Apx sample bound %s exceeds cap %d (m=%d, k=%d)", tBig, MaxApxSamples, m, c.K)
-	}
-	return c.ApxParallelWithSamplesStop(int(tBig.Int64()), workers, seed, stop)
+	return c.ApxParallelWithSamplesStop(t, workers, seed, stop)
 }
 
 // ApxParallelWithSamples runs the Algorithm 3 estimator with an explicit
@@ -113,14 +72,27 @@ func (c *Compactor) ApxParallelWithSamplesStop(t, workers int, seed uint64, stop
 	if t <= 0 {
 		return Estimate{}, fmt.Errorf("core: sample budget must be positive, got %d", t)
 	}
+	factory := c.memberFactory()
+	draw := drawPositions(c.Doms, c.Reads)
+	hits := runShards(t, workers, seed, stop, func() func(*rand.Rand) bool {
+		return newSampler(c.Doms, draw, factory()).Sample
+	})
+	if stop.Stopped() {
+		return Estimate{}, ErrStopped
+	}
+	return scaledEstimate(UniverseSize(c.Doms), hits, t), nil
+}
+
+// runShards runs t trials split across the fixed shards, drained by
+// workers goroutines (≤ 0 selects GOMAXPROCS), and returns the hit count.
+// newTrial is called once per worker for a trial function with its own
+// scratch state. A fired stop abandons the remaining trials; the caller
+// then discards the count.
+func runShards(t, workers int, seed uint64, stop *Stop, newTrial func() func(*rand.Rand) bool) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := sampleShards
-	if t < shards {
-		shards = t
-	}
-	factory := c.memberFactory()
+	shards := min(sampleShards, t)
 	jobs := make(chan int)
 	var hits atomic.Int64
 	var wg sync.WaitGroup
@@ -128,8 +100,7 @@ func (c *Compactor) ApxParallelWithSamplesStop(t, workers int, seed uint64, stop
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			member := factory()
-			tuple := make([]Element, len(c.Doms))
+			trial := newTrial()
 			local := int64(0)
 			for shard := range jobs {
 				if stop.Stopped() {
@@ -140,10 +111,7 @@ func (c *Compactor) ApxParallelWithSamplesStop(t, workers int, seed uint64, stop
 					if i&(stopStride-1) == 0 && stop.Stopped() {
 						break
 					}
-					for j, d := range c.Doms {
-						tuple[j] = d.Elems[rng.IntN(d.Size())]
-					}
-					if member(tuple) {
+					if trial(rng) {
 						local++
 					}
 				}
@@ -160,15 +128,7 @@ func (c *Compactor) ApxParallelWithSamplesStop(t, workers int, seed uint64, stop
 	}
 	close(jobs)
 	wg.Wait()
-	if stop.Stopped() {
-		return Estimate{}, ErrStopped
-	}
-	u := new(big.Float).SetInt(UniverseSize(c.Doms))
-	est := new(big.Float).Quo(
-		new(big.Float).Mul(u, big.NewFloat(float64(hits.Load()))),
-		big.NewFloat(float64(t)),
-	)
-	return Estimate{Value: est, Samples: t, Hits: int(hits.Load())}, nil
+	return int(hits.Load())
 }
 
 // KarpLubyParallel estimates |⋃ boxes| with t samples from the complex
@@ -179,50 +139,10 @@ func KarpLubyParallel(doms []Domain, boxes []Selector, t, workers int, seed uint
 	if t <= 0 {
 		return Estimate{}, fmt.Errorf("core: sample budget must be positive, got %d", t)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	boxes = SortSelectors(DedupeSelectors(boxes))
-	if len(boxes) == 0 {
+	kl, ok := newKarpLuby(doms, boxes)
+	if !ok {
 		return Estimate{Value: big.NewFloat(0), Samples: t}, nil
 	}
-	cum, w := cumulativeBoxWeights(doms, boxes)
-	if w.Sign() == 0 {
-		return Estimate{Value: big.NewFloat(0), Samples: t}, nil
-	}
-	shards := sampleShards
-	if t < shards {
-		shards = t
-	}
-	jobs := make(chan int)
-	var hits atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tuple := make([]Element, len(doms))
-			local := int64(0)
-			for shard := range jobs {
-				rng := shardStream(seed, shard)
-				for i := shardSize(t, shards, shard); i > 0; i-- {
-					if karpLubyTrial(doms, boxes, cum, w, tuple, rng) {
-						local++
-					}
-				}
-			}
-			hits.Add(local)
-		}()
-	}
-	for shard := 0; shard < shards; shard++ {
-		jobs <- shard
-	}
-	close(jobs)
-	wg.Wait()
-	wf := new(big.Float).SetInt(w)
-	est := new(big.Float).Quo(
-		new(big.Float).Mul(wf, big.NewFloat(float64(hits.Load()))),
-		big.NewFloat(float64(t)),
-	)
-	return Estimate{Value: est, Samples: t, Hits: int(hits.Load())}, nil
+	hits := runShards(t, workers, seed, nil, kl.trialFunc)
+	return scaledEstimate(kl.w, hits, t), nil
 }

@@ -17,36 +17,42 @@ import (
 // unfold equals #CQA(Q,Σ)(D), which is the membership half of Theorem 5.1:
 // #CQA(Q,Σ) ∈ Λ[kw(Q,Σ)].
 //
-// The compactor's Member predicate decides whether the repair encoded by a
-// tuple entails the UCQ — the cross-check that ⋃ unfoldings is exactly the
-// set of repairs entailing Q. It runs a compiled homomorphism search over
-// the instance's interned index, restricted to the facts the tuple chose,
-// so no per-sample index is built and a sample costs roughly one small
-// join. MemberFactory hands independent copies of the predicate to
-// parallel samplers (the compiled matcher holds per-worker scratch state).
+// The compactor's membership predicate decides whether the repair
+// encoded by a tuple entails the UCQ — the cross-check that ⋃ unfoldings
+// is exactly the set of repairs entailing Q. It runs a compiled
+// homomorphism search over the instance's interned index, restricted to
+// the facts the tuple chose, so no per-sample index is built and a sample
+// costs roughly one small join. MemberFactory hands every sampler its own
+// copy of the predicate (the compiled matcher holds scratch state).
+//
+// The matcher only visits facts of the query's predicates, so membership
+// reads only the coordinates of those blocks: they form the read set
+// (Reads), and the per-fact lookup tables cover only their facts.
+// Samplers then draw a tuple in time proportional to the query's relevant
+// blocks, while Doms — and so m, |U| and the sample bound — still span
+// every block.
 func (in *Instance) Compactor() (*core.Compactor, error) {
-	if !in.IsEP {
-		return nil, fmt.Errorf("repairs: the Algorithm 2 compactor needs an existential positive query, have %s", in.Q)
+	if err := in.needEP(); err != nil {
+		return nil, err
 	}
 	doms := in.Domains()
-	// Per fact ordinal of the instance index: the position of its block in
+	split := in.relevant()
+	// Per fact ordinal of a relevant fact: the position of its block in
 	// the domain sequence, and its element encoding within that domain.
 	// "Fact chosen by tuple" is then one slot load and one string compare.
 	nf := in.Idx.NumFacts()
 	blockPos := make([]int32, nf)
 	elemOf := make([]core.Element, nf)
-	bi := in.blockIndex()
-	for ord := 0; ord < nf; ord++ {
-		if !in.Idx.Alive(int32(ord)) {
-			continue // tombstoned: unreachable through the matcher
+	for i, b := range split.rel {
+		p := split.relPos[i]
+		for j, f := range b.Facts {
+			ord, ok := in.Idx.OrdinalOf(f)
+			if !ok {
+				return nil, fmt.Errorf("repairs: block fact %s outside the instance index", f)
+			}
+			blockPos[ord] = int32(p)
+			elemOf[ord] = doms[p].Elems[j]
 		}
-		f := in.Idx.FactAt(ord)
-		p, ok := bi.Find(in.Keys, f)
-		if !ok {
-			return nil, fmt.Errorf("repairs: fact %s outside every block", f)
-		}
-		blockPos[ord] = int32(p)
-		elemOf[ord] = core.Element(f.Canonical())
 	}
 	ucq := in.UCQ
 	idx := in.Idx
@@ -82,9 +88,18 @@ func (in *Instance) Compactor() (*core.Compactor, error) {
 			// every candidate compacts successfully.
 			return in.SelectorFor(c.(Certificate)), true
 		},
-		Member:        memberFactory(),
 		MemberFactory: memberFactory,
+		Reads:         append([]int{}, split.relPos...),
 	}, nil
+}
+
+// needEP fails for queries outside ∃FO⁺, which have no Algorithm 2
+// compactor.
+func (in *Instance) needEP() error {
+	if !in.IsEP {
+		return fmt.Errorf("repairs: the Algorithm 2 compactor needs an existential positive query, have %s", in.Q)
+	}
+	return nil
 }
 
 // CountCompactor computes #CQA through the Algorithm 2 compactor's exact

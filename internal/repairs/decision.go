@@ -1,7 +1,6 @@
 package repairs
 
 import (
-	"fmt"
 	"math/big"
 	"math/rand/v2"
 
@@ -85,17 +84,19 @@ func (in *Instance) ApxParallelStop(eps, delta float64, workers int, seed uint64
 
 // ApxSampleBound reports the Theorem 6.2 sample count t the FPRAS would
 // run at the given accuracy, without drawing a sample — the serving
-// layer prices an approximate probe against its budget with it. It fails
-// when the compactor is unbounded (no FPRAS; Theorem 6.1).
+// layer prices an approximate probe against its budget with it. It reads
+// m = max|B_i| off the block sizes and k = kw(Q,Σ) off the query, the same
+// m and k the compactor's FPRAS uses, without building the compactor.
 func (in *Instance) ApxSampleBound(eps, delta float64) (*big.Int, error) {
-	c, err := in.Compactor()
-	if err != nil {
+	if err := in.needEP(); err != nil {
 		return nil, err
 	}
-	if c.K < 0 {
-		return nil, fmt.Errorf("repairs: no sample bound: %s is an unbounded compactor (SpanLL)", c.Name)
+	in.refresh()
+	m := 0
+	for _, b := range in.Blocks {
+		m = max(m, b.Size())
 	}
-	return core.SampleBound(core.MaxDomainSize(c.Doms), c.K, eps, delta), nil
+	return core.SampleBound(m, in.Keywidth(), eps, delta), nil
 }
 
 // ApxParallelWithSamples runs the Algorithm 3 estimator with an explicit

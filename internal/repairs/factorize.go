@@ -40,6 +40,7 @@ import (
 // instance and shared by the exact, parallel and factorized counters.
 type relevantSplit struct {
 	rel, irr []relational.Block
+	relPos   []int    // positions of rel in the block sequence, ascending
 	inner    *big.Int // Π sizes over rel
 	outer    *big.Int // Π sizes over irr
 }
@@ -54,9 +55,10 @@ func (in *Instance) relevant() *relevantSplit {
 			pred[p] = true
 		}
 		s := &relevantSplit{}
-		for _, b := range in.Blocks {
+		for i, b := range in.Blocks {
 			if pred[b.Key.Pred] {
 				s.rel = append(s.rel, b)
+				s.relPos = append(s.relPos, i)
 			} else {
 				s.irr = append(s.irr, b)
 			}

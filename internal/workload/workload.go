@@ -134,6 +134,23 @@ func valueConst(i int) relational.Const {
 	return relational.Const("v" + strconv.Itoa(i))
 }
 
+// WithFiller returns copies of db and ks extended by nBlocks blocks of
+// blockSize facts each over a fresh predicate pred, keyed on its first
+// position: blocks no query over the other predicates reads. With
+// blockSize 1 they are key-unique facts that leave |rep| unchanged and only
+// lengthen the block sequence, the shape of a database whose query touches
+// few of its blocks.
+func WithFiller(db *relational.Database, ks *relational.KeySet, pred string, nBlocks, blockSize int) (*relational.Database, *relational.KeySet) {
+	out, outKeys := db.Clone(), ks.Clone()
+	outKeys.MustAdd(pred, 1)
+	for b := 0; b < nBlocks; b++ {
+		for j := 0; j < blockSize; j++ {
+			out.Add(relational.NewFact(pred, relational.Const("f"+strconv.Itoa(b)), valueConst(j)))
+		}
+	}
+	return out, outKeys
+}
+
 // PairsDatabase builds the scaling workload of experiments E2/E11: n
 // blocks R(ki, 'a'|'b') of size 2 each, so the database has exactly 2^n
 // repairs.

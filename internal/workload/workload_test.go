@@ -71,6 +71,20 @@ func TestPairsDatabase(t *testing.T) {
 	}
 }
 
+func TestWithFiller(t *testing.T) {
+	db, ks := PairsDatabase(3)
+	fdb, fks := WithFiller(db, ks, "F", 5, 2)
+	if db.Len() != 6 || ks.HasKey("F") {
+		t.Fatal("WithFiller modified its inputs")
+	}
+	if got := fdb.Len(); got != 16 {
+		t.Fatalf("filler database has %d facts, want 16", got)
+	}
+	if got := relational.NumRepairs(fdb, fks); got.Cmp(big.NewInt(1<<8)) != 0 {
+		t.Fatalf("filler database must have 2^3·2^5 repairs, got %s", got)
+	}
+}
+
 func TestEmployeeScenario(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	db, ks := Employee(rng, 50, 4, 0.4)

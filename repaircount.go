@@ -59,6 +59,18 @@
 // chose, so one Algorithm 3 sample costs one small indexed join and zero
 // allocations rather than building a fresh index per repair.
 //
+// That matcher reads only blocks of the query's predicates, so a sample
+// draws a choice for those blocks alone (the compactor's read set) and
+// leaves every other block at a fixed choice. Entailment does not depend
+// on the skipped blocks and the drawn choices stay independent and
+// uniform, so each trial's hit has exactly the probability it had when
+// every block was drawn: the estimator |rep|·hits/t, the sample bound
+// t = (2+ε)·m^k/ε²·ln(2/δ) (m still the largest block of the whole
+// database) and the (ε,δ) guarantee are unchanged. A sample's cost follows
+// the blocks the query can read, not the size of the database. The
+// Karp–Luby sampler likewise draws only coordinates some certificate box
+// pins.
+//
 // # Factorized exact counting
 //
 // The exact counters no longer enumerate the full product space of
@@ -205,7 +217,10 @@
 // queue. Because both the shard → stream and shard → sample-count
 // assignments are fixed, the total hit count — and hence the estimate —
 // is bit-for-bit identical for every worker count and scheduling, while
-// still scaling across cores.
+// still scaling across cores. The stream a run consumes depends on the
+// blocks the query reads, so padding a database with blocks of other
+// predicates leaves a fixed-seed run's hits unchanged and scales its
+// estimate by their Π|B_i|.
 //
 // # Serving: the repairctl daemon
 //
@@ -708,6 +723,13 @@ func (c *Counter) RelativeFrequency() (*big.Rat, error) { return c.inst.Relative
 // Pr(|estimate − #CQA| ≤ ε·#CQA) ≥ 1−δ. Only existential positive
 // queries are supported (Theorem 6.1: no FPRAS for FO unless RP = NP).
 // The seed makes runs reproducible.
+//
+// Each sample draws a choice only for the blocks of the query's
+// predicates, so its cost scales with the blocks the query can read, not
+// with the database. The other blocks cannot change entailment, so skipping
+// them leaves every sample's hit probability — and so the estimator's
+// distribution, the sample count and the (ε,δ) guarantee — exactly as if
+// the whole repair were drawn.
 func (c *Counter) Approximate(eps, delta float64, seed uint64) (Estimate, error) {
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 	return c.inst.Apx(eps, delta, rng)
