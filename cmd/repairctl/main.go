@@ -100,11 +100,14 @@
 // remembered across restarts in its -dir sidecar), while coordinate owns
 // the full snapshot, cuts epoch shard sets into -shard-dir, assigns the
 // -peers fleet, tails -ops and streams each delta to the shards it
-// touches, and serves the probe API by fanning the partition -query out
-// to the fleet — every partial digest-, epoch- and version-verified
-// before the merge, so answers are bit-identical to the single-node
-// daemon or a structured error, never a miscount. A down worker degrades
-// probes to exact local counting until the maintenance loop heals it.
+// touches. coordinate is serve plus the fleet: it takes every serve flag
+// (-probs included) and serves every serve endpoint (/v1/prob and
+// /v1/rank included) with the same bodies, except that a count of the
+// partition -query fans out to the fleet — every partial digest-, epoch-
+// and version-verified before the merge, so answers are bit-identical to
+// the single-node daemon or a structured error, never a miscount. A down
+// worker degrades those counts to exact local counting until the
+// maintenance loop heals it.
 //
 //	repairctl worker -dir w0/ -addr :9101
 //	repairctl worker -dir w1/ -addr :9102
@@ -313,15 +316,15 @@ func run(args []string, stdout io.Writer) error {
 		manifest = fs.String("manifest", "", "CQSM manifest path for merge")
 
 		addr         = fs.String("addr", "localhost:8347", "listen address for serve (':0' picks a free port, printed on startup)")
-		poll         = fs.Duration("poll", 0, "ops-file poll interval for serve (0 = 200ms)")
-		deadline     = fs.Duration("deadline", 0, "per-probe wall-clock budget for serve (0 = 30s)")
-		exactBudget  = fs.Int64("exact-budget", 0, "serve admission ceiling on planned exact work (0 = the enumeration budget)")
-		maxSamples   = fs.Int64("max-samples", 0, "serve admission ceiling on the FPRAS sample bound (0 = the sampler cap)")
-		compactBytes = fs.Int64("compact-bytes", 0, "journal bytes that trigger serve's compaction (0 = 1MiB, negative disables)")
-		serveWorkers = fs.Int("serve-workers", 0, "probe worker slots for serve (0 = GOMAXPROCS)")
+		poll         = fs.Duration("poll", 0, "ops-file poll interval for serve and coordinate (0 = 200ms)")
+		deadline     = fs.Duration("deadline", 0, "per-probe wall-clock budget for serve, coordinate and worker (0 = 30s)")
+		exactBudget  = fs.Int64("exact-budget", 0, "serve and coordinate admission ceiling on planned exact work (0 = the enumeration budget)")
+		maxSamples   = fs.Int64("max-samples", 0, "serve and coordinate admission ceiling on the FPRAS sample bound (0 = the sampler cap)")
+		compactBytes = fs.Int64("compact-bytes", 0, "journal bytes that trigger a compaction, and coordinate's re-shard (0 = 1MiB, negative disables)")
+		serveWorkers = fs.Int("serve-workers", 0, "probe worker slots for serve, coordinate and worker (0 = GOMAXPROCS)")
 		cacheEntries = fs.Int("cache-entries", server.DefaultCacheEntries,
 			"bound on the serve/coordinate probe cache (compiled counters, admissions, results); 0 disables it")
-		probsPath = fs.String("probs", "", "per-fact probability annotation file for serve's /v1/prob endpoint (weight<TAB>Fact lines, e.g. from workloadgen -kind prob-stream)")
+		probsPath = fs.String("probs", "", "per-fact probability annotation file for the /v1/prob endpoint of serve and coordinate (weight<TAB>Fact lines, e.g. from workloadgen -kind prob-stream)")
 
 		workerDir    = fs.String("dir", "", "worker state directory (required for worker; holds the assignment sidecar)")
 		peers        = fs.String("peers", "", "comma-separated worker base URLs for coordinate")
@@ -374,35 +377,41 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// apply, compact, serve and coordinate operate on the snapshot file
-	// itself, not a loaded instance.
+	// itself, not a loaded instance. serve and coordinate run the same
+	// probe server, configured by the same flags.
+	ops := *opsPath
+	if ops == "-" {
+		// For apply, -ops defaults to stdin; the servers tail a file, so
+		// "-" means no update stream.
+		ops = ""
+	}
+	serveCfg := server.Config{
+		SnapshotPath: *dbPath,
+		OpsPath:      ops,
+		Workers:      *serveWorkers,
+		CountWorkers: serveCountWorkers(*workers),
+		Deadline:     *deadline,
+		ExactBudget:  *exactBudget,
+		MaxSamples:   *maxSamples,
+		Eps:          *eps,
+		Delta:        *delta,
+		Seed:         *seed,
+		Poll:         *poll,
+		CompactBytes: *compactBytes,
+		CacheEntries: configCacheEntries(*cacheEntries),
+		ProbsPath:    *probsPath,
+	}
 	switch cmd {
 	case "apply":
 		return applyOps(stdout, *dbPath, *opsPath)
 	case "compact":
 		return compact(stdout, *dbPath, *out)
 	case "serve":
-		// For apply, -ops defaults to stdin; the daemon tails a file, so
-		// "-" means no update stream.
-		ops := *opsPath
-		if ops == "-" {
-			ops = ""
+		s, err := server.New(serveCfg)
+		if err != nil {
+			return err
 		}
-		return serve(stdout, *addr, server.Config{
-			SnapshotPath: *dbPath,
-			OpsPath:      ops,
-			Workers:      *serveWorkers,
-			CountWorkers: serveCountWorkers(*workers),
-			Deadline:     *deadline,
-			ExactBudget:  *exactBudget,
-			MaxSamples:   *maxSamples,
-			Eps:          *eps,
-			Delta:        *delta,
-			Seed:         *seed,
-			Poll:         *poll,
-			CompactBytes: *compactBytes,
-			CacheEntries: configCacheEntries(*cacheEntries),
-			ProbsPath:    *probsPath,
-		})
+		return serve(stdout, *addr, s)
 	case "coordinate":
 		if *queryStr == "" {
 			return fmt.Errorf("coordinate: -query is required")
@@ -413,36 +422,19 @@ func run(args []string, stdout io.Writer) error {
 		if *shardDir == "" {
 			return fmt.Errorf("coordinate: -shard-dir is required")
 		}
-		ops := *opsPath
-		if ops == "-" {
-			ops = ""
-		}
 		co, err := cluster.New(cluster.Config{
-			SnapshotPath: *dbPath,
+			Config:       serveCfg,
 			Query:        *queryStr,
 			Peers:        strings.Split(*peers, ","),
 			ShardDir:     *shardDir,
-			OpsPath:      ops,
-			Workers:      *serveWorkers,
-			CountWorkers: serveCountWorkers(*workers),
-			Deadline:     *deadline,
-			ExactBudget:  *exactBudget,
-			MaxSamples:   *maxSamples,
-			Eps:          *eps,
-			Delta:        *delta,
-			Seed:         *seed,
-			Poll:         *poll,
-			CompactBytes: *compactBytes,
 			Retries:      *retries,
 			RetryBackoff: *retryBackoff,
 			HedgeAfter:   *hedgeAfter,
-			CacheEntries: configCacheEntries(*cacheEntries),
 		})
 		if err != nil {
 			return err
 		}
-		defer co.Close()
-		return serveHandler(stdout, *addr, co.Handler())
+		return serve(stdout, *addr, co)
 	}
 
 	src, err := openInstance(*dbPath)
@@ -809,14 +801,16 @@ func analyze(stdout io.Writer, counter *repaircount.Counter, eps, delta float64)
 	return nil
 }
 
-// serve runs the probe daemon on a snapshot until SIGINT/SIGTERM: the
-// listen address is printed first (parse it when -addr ends in :0), and
-// shutdown drains in-flight probes before the snapshot is unmapped.
-func serve(stdout io.Writer, addr string, cfg server.Config) error {
-	s, err := server.New(cfg)
-	if err != nil {
-		return err
-	}
+// serve runs a probe server (the daemon or the coordinator) until
+// SIGINT/SIGTERM: the listen address is printed first (parse it when
+// -addr ends in :0), and shutdown drains in-flight probes before the
+// server is closed and its snapshot unmapped.
+func serve(stdout io.Writer, addr string, s interface {
+	Handler() http.Handler
+	Config() server.Config
+	Recovered() int64
+	Close() error
+}) error {
 	defer s.Close()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -824,14 +818,14 @@ func serve(stdout io.Writer, addr string, cfg server.Config) error {
 	}
 	fmt.Fprintf(stdout, "listening on http://%s\n", ln.Addr())
 	if dropped := s.Recovered(); dropped > 0 {
-		fmt.Fprintf(stdout, "recovered %s: dropped %d torn journal bytes\n", cfg.SnapshotPath, dropped)
+		fmt.Fprintf(stdout, "recovered %s: dropped %d torn journal bytes\n", s.Config().SnapshotPath, dropped)
 	}
 	return serveUntilSignal(ln, s.Handler())
 }
 
-// serveHandler is the listen half of serve for the cluster roles, which
-// build their own handler: print the bound address, then serve until
-// SIGINT/SIGTERM.
+// serveHandler is the listen half of serve for the shard worker, which
+// holds no snapshot of its own: print the bound address, then serve
+// until SIGINT/SIGTERM.
 func serveHandler(stdout io.Writer, addr string, h http.Handler) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

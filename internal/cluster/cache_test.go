@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repaircount/internal/cluster"
+	"repaircount/internal/server"
 	"repaircount/internal/workload"
 )
 
@@ -60,13 +61,15 @@ func TestCacheDifferentialCluster(t *testing.T) {
 		}
 		peers := startWorkers(t, 4)
 		_, ts := startCoordinator(t, cluster.Config{
-			SnapshotPath: path,
-			Query:        qs,
-			Peers:        peers,
-			ShardDir:     t.TempDir(),
-			OpsPath:      opsPath,
-			CompactBytes: 1, // every applied batch re-shards the fleet
-			CacheEntries: entries,
+			Config: server.Config{
+				SnapshotPath: path,
+				OpsPath:      opsPath,
+				CompactBytes: 1, // every applied batch re-shards the fleet
+				CacheEntries: entries,
+			},
+			Query:    qs,
+			Peers:    peers,
+			ShardDir: t.TempDir(),
 		})
 		return ts, opsPath, peers
 	}

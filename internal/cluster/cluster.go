@@ -5,6 +5,15 @@
 // bit-identical to the unsharded engine or a structured error — the
 // topology is a throughput lever, never an approximation.
 //
+// The coordinator is not a second server: it is internal/server's probe
+// pipeline and write path (server.NewFleet) plus a fleet hook. The hook
+// claims counts of the partition query and fans them out (handler.go),
+// routes every applied batch's changed ops to the workers (stream.go),
+// and re-shards on startup and after every compaction (coordinator.go).
+// Every other probe runs through the daemon's own handlers, so the
+// coordinator serves every endpoint the daemon does, with the same
+// bodies, cache and admission ladder.
+//
 // # Wire format
 //
 // Workers and coordinator speak HTTP/JSON, except for partials, which
@@ -76,19 +85,9 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"time"
 )
-
-// contextWithTimeout derives a probe context from the request, bounded
-// by the configured wall-clock deadline: client disconnects and the
-// deadline both cancel the count through core.Stop.
-func contextWithTimeout(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), d)
-}
 
 // applyResponse acknowledges one delta batch: the worker's epoch and its
 // instance version after the batch was applied and journaled.

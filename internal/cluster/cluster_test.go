@@ -18,6 +18,7 @@ import (
 	"repaircount"
 	"repaircount/internal/cluster"
 	"repaircount/internal/relational"
+	"repaircount/internal/server"
 	"repaircount/internal/store"
 	"repaircount/internal/workload"
 )
@@ -193,10 +194,10 @@ func TestDifferentialFanout(t *testing.T) {
 					path := writeSnapshot(t, t.TempDir(), db, ks)
 					peers := startWorkers(t, k)
 					_, ts := startCoordinator(t, cluster.Config{
-						SnapshotPath: path,
-						Query:        qs,
-						Peers:        peers,
-						ShardDir:     t.TempDir(),
+						Config:   server.Config{SnapshotPath: path},
+						Query:    qs,
+						Peers:    peers,
+						ShardDir: t.TempDir(),
 					})
 					status, body, _ := get(t, ts, countURL(qs))
 					if status != http.StatusOK {
@@ -231,12 +232,14 @@ func TestDifferentialAfterDeltas(t *testing.T) {
 
 	peers := startWorkers(t, 4)
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
-		OpsPath:      opsPath,
-		CompactBytes: -1, // no re-shard: the delta stream itself is under test
+		Config: server.Config{
+			SnapshotPath: path,
+			OpsPath:      opsPath,
+			CompactBytes: -1, // no re-shard: the delta stream itself is under test
+		},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	// Pre-delta: fleet-served and exact.
@@ -305,12 +308,14 @@ func TestReshardOnCompaction(t *testing.T) {
 
 	peers := startWorkers(t, 4)
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
-		OpsPath:      opsPath,
-		CompactBytes: 1, // any journal byte triggers a re-shard
+		Config: server.Config{
+			SnapshotPath: path,
+			OpsPath:      opsPath,
+			CompactBytes: 1, // any journal byte triggers a re-shard
+		},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	rng := rand.New(rand.NewPCG(11, 12))
@@ -370,10 +375,10 @@ func TestNonPartitionQueryServedLocally(t *testing.T) {
 	path := writeSnapshot(t, t.TempDir(), db, ks)
 	peers := startWorkers(t, 2)
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
+		Config:   server.Config{SnapshotPath: path},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	const other = "exists x, y . C0(x, y)"

@@ -9,13 +9,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repaircount"
-	"repaircount/internal/core"
 	"repaircount/internal/repairs"
 	"repaircount/internal/server"
 	"repaircount/internal/workload"
@@ -24,10 +22,11 @@ import (
 // Config parameterizes a Coordinator. Zero values select the documented
 // defaults.
 type Config struct {
-	// SnapshotPath is the full .cqs snapshot the coordinator owns
-	// (required). It is recovered and, when journaled, compacted before
-	// the first shard cut.
-	SnapshotPath string
+	// Config is the probe server's configuration, with the daemon's
+	// meaning and defaults: SnapshotPath is the full snapshot the
+	// coordinator owns, OpsPath the update stream it tails, and
+	// CompactBytes triggers a compaction followed by a re-shard.
+	server.Config
 	// Query is the partition query (required): the one query whose counts
 	// fan out to the fleet. Other probes are served locally.
 	Query string
@@ -37,23 +36,6 @@ type Config struct {
 	// ShardDir receives one epoch-N directory of shard snapshots plus
 	// manifest per re-shard (required).
 	ShardDir string
-	// OpsPath, when set, is the append-only update stream to tail; the
-	// consumed offset persists in OpsPath + ".offset".
-	OpsPath string
-	// Workers, CountWorkers, QueueDepth, Deadline, ExactBudget,
-	// MaxSamples, Eps, Delta, Seed, Poll and CompactBytes behave exactly
-	// as in the single-node daemon (internal/server.Config); CompactBytes
-	// here triggers a full re-shard, not just a compaction.
-	Workers      int
-	CountWorkers int
-	QueueDepth   int
-	Deadline     time.Duration
-	ExactBudget  int64
-	MaxSamples   int64
-	Eps, Delta   float64
-	Seed         uint64
-	Poll         time.Duration
-	CompactBytes int64
 	// Retries is the attempt count per shard fetch (default 3).
 	Retries int
 	// RetryBackoff is the initial inter-attempt backoff, doubling each
@@ -64,47 +46,9 @@ type Config struct {
 	// abandon-and-refire hedging — the slow request is canceled, not
 	// raced.
 	HedgeAfter time.Duration
-	// CacheEntries bounds the shared probe cache, exactly as in
-	// internal/server.Config: 0 selects the default, < 0 disables it. It
-	// also gates the per-worker partial cache that lets an unchanged
-	// shard skip its re-count on fan-out.
-	CacheEntries int
 }
 
 func (cfg *Config) fill() {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.CountWorkers <= 0 {
-		cfg.CountWorkers = 1
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = 30 * time.Second
-	}
-	if cfg.ExactBudget <= 0 {
-		cfg.ExactBudget = int64(repairs.DefaultEnumBudget)
-	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = core.MaxApxSamples
-	}
-	if cfg.Eps <= 0 {
-		cfg.Eps = 0.1
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 0.05
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 200 * time.Millisecond
-	}
-	if cfg.CompactBytes == 0 {
-		cfg.CompactBytes = 1 << 20
-	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = 3
 	}
@@ -117,7 +61,7 @@ func (cfg *Config) fill() {
 }
 
 // workerState is the coordinator's book on one fleet member. Guarded by
-// Coordinator.fmu.
+// fleet.fmu.
 type workerState struct {
 	url string
 	// down: the worker failed an availability check (refused, timed out);
@@ -134,55 +78,43 @@ type workerState struct {
 	pending []workload.Update
 }
 
-// Coordinator owns the full snapshot, the manifest of the current epoch
-// and the ops tail, and serves the probe API by fanning the partition
-// query out to the worker fleet. Probes take the read side of mu; the
-// ops applier and the re-sharder take the write side, so in-flight
-// probes drain before any epoch swing.
+// Coordinator is the fleet's probe server: a server.Server whose fleet
+// hook fans the partition query out to the shard workers, streams the
+// applied deltas to them, and re-shards them on every compaction.
 type Coordinator struct {
-	cfg    Config
-	ladder server.Ladder
-	client *http.Client
-	pool   *server.Pool
-	cache  *server.ProbeCache // nil when CacheEntries < 0
+	*server.Server
+	fleet *fleet
+}
 
-	mu      sync.RWMutex
-	snap    *repaircount.Snapshot
-	query   repaircount.Formula
-	qs      string // canonical partition-query text
-	baseLen int64
+// fleet is the coordinator's server.Fleet hook: the shard-set identity of
+// the current epoch, the book on every worker, and the loops that keep
+// the workers in sync.
+type fleet struct {
+	cfg    Config
+	client *http.Client
+	query  repaircount.Formula
+	qs     string // canonical partition-query text
 
 	// fmu guards the fleet book and the shard-set identity. The epoch and
-	// shard set only move under mu's write side AND fmu, so holders of
-	// either read a consistent epoch.
+	// shard set only move under the server's write lock AND fmu, so
+	// holders of either read a consistent epoch.
 	fmu      sync.Mutex
 	epoch    uint64
 	shards   *repaircount.ShardSet
 	plac     map[string]int32 // block key → worker, shardShared or shardExcluded
-	fleet    []*workerState
+	workers  []*workerState
 	pcounter *repaircount.Counter // dedicated planning counter; rebuilt per epoch
 	fan      *fanPlan             // cached validation for (epoch, version)
 	parts    []partialMemo        // per-worker verified-partial cache, keyed (epoch, ack)
 
-	degradedReason atomic.Pointer[string]
-
-	appliedOps atomic.Int64
-	journaled  atomic.Int64
-	recovered  int64
-
 	stats struct {
-		probes, exact, approx, rejected, overloaded, deadline atomic.Int64
-		fanouts, localFallback, integrity, reshards           atomic.Int64
-		partialHits                                           atomic.Int64
+		fanouts, localFallback, integrity, reshards, partialHits atomic.Int64
 	}
 
-	tailer    *server.Tailer
-	flushCh   chan struct{}
-	stop      chan struct{}
-	stopOnce  sync.Once
-	tailDone  chan struct{}
-	flushDone chan struct{}
-	maintDone chan struct{}
+	flushCh  chan struct{}
+	stop     chan struct{}
+	stopOnce sync.Once
+	loops    sync.WaitGroup
 }
 
 const (
@@ -190,14 +122,15 @@ const (
 	shardExcluded = repairs.ShardExcluded
 )
 
-// New recovers and maps the snapshot, cuts the first epoch's shard set,
-// assigns the fleet (workers that are down are marked and healed later —
-// probes degrade to local counting, they never fail), and starts the ops
-// tail, the delta flusher and the maintenance loop.
+// New starts the probe server over the snapshot with the fleet hook,
+// which cuts the first epoch's shard set and assigns the fleet (workers
+// that are down are marked and healed later — probes degrade to local
+// counting, they never fail), then starts the delta flusher and the
+// maintenance loop.
 func New(cfg Config) (*Coordinator, error) {
 	cfg.fill()
-	if cfg.SnapshotPath == "" || cfg.Query == "" || cfg.ShardDir == "" {
-		return nil, fmt.Errorf("cluster: SnapshotPath, Query and ShardDir are required")
+	if cfg.Query == "" || cfg.ShardDir == "" {
+		return nil, fmt.Errorf("cluster: Query and ShardDir are required")
 	}
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: at least one worker peer is required")
@@ -206,130 +139,61 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: partition query: %w", err)
 	}
-	recovered, err := repaircount.RecoverSnapshot(cfg.SnapshotPath)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: recovering %s: %w", cfg.SnapshotPath, err)
+	f := &fleet{
+		cfg:     cfg,
+		client:  &http.Client{},
+		query:   q,
+		qs:      fmt.Sprintf("%s", q),
+		workers: make([]*workerState, len(cfg.Peers)),
+		parts:   make([]partialMemo, len(cfg.Peers)),
+		flushCh: make(chan struct{}, 1),
+		stop:    make(chan struct{}),
 	}
-	snap, err := repaircount.OpenSnapshot(cfg.SnapshotPath)
-	if err != nil {
-		return nil, err
-	}
-	c := &Coordinator{
-		cfg:       cfg,
-		ladder:    server.Ladder{ExactBudget: cfg.ExactBudget, MaxSamples: cfg.MaxSamples, Eps: cfg.Eps, Delta: cfg.Delta},
-		client:    &http.Client{},
-		pool:      server.NewPool(cfg.Workers, cfg.QueueDepth),
-		snap:      snap,
-		query:     q,
-		qs:        fmt.Sprintf("%s", q),
-		recovered: recovered,
-		flushCh:   make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		tailDone:  make(chan struct{}),
-		flushDone: make(chan struct{}),
-		maintDone: make(chan struct{}),
-	}
-	if cfg.CacheEntries >= 0 {
-		c.cache = server.NewProbeCache(cfg.CacheEntries)
-	}
-	c.fleet = make([]*workerState, len(cfg.Peers))
-	c.parts = make([]partialMemo, len(cfg.Peers))
 	for i, u := range cfg.Peers {
-		c.fleet[i] = &workerState{url: u}
+		f.workers[i] = &workerState{url: u}
 	}
-	c.mu.Lock()
-	err = c.reshardLocked()
-	c.mu.Unlock()
+	srv, err := server.NewFleet(cfg.Config, f)
 	if err != nil {
-		snap.Close()
 		return nil, err
 	}
-	if cfg.OpsPath != "" {
-		c.tailer = &server.Tailer{
-			OpsPath:    cfg.OpsPath,
-			OffsetPath: cfg.OpsPath + ".offset",
-			Poll:       cfg.Poll,
-			Apply:      c.applyBatch,
-		}
-		go c.tailLoop()
-	} else {
-		close(c.tailDone)
-	}
-	go c.flushLoop()
-	go c.maintainLoop()
-	return c, nil
+	f.loops.Add(2)
+	go f.flushLoop()
+	go f.maintainLoop(srv.Config().Poll)
+	return &Coordinator{Server: srv, fleet: f}, nil
 }
 
-// Close stops the tail, flusher and maintenance loops and unmaps the
-// snapshot. In-flight probes must have drained first. Safe to call twice.
-func (c *Coordinator) Close() error {
-	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.tailDone
-	<-c.flushDone
-	<-c.maintDone
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.snap == nil {
-		return nil
-	}
-	err := c.snap.Close()
-	c.snap = nil
+// Close stops the server, then the flusher and maintenance loops. In-flight
+// probes must have drained first. Safe to call twice.
+func (co *Coordinator) Close() error {
+	err := co.Server.Close()
+	co.fleet.stopOnce.Do(func() { close(co.fleet.stop) })
+	co.fleet.loops.Wait()
 	return err
 }
 
-func (c *Coordinator) degrade(err error) {
-	msg := err.Error()
-	c.degradedReason.CompareAndSwap(nil, &msg)
-}
-
-func (c *Coordinator) degraded() string {
-	if p := c.degradedReason.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-// reshardLocked cuts a new epoch: compact the journal into the sealed
-// base if one accrued, re-plan the partition at the current version,
-// write fresh shard snapshots plus manifest under ShardDir/epoch-N/,
-// swing the fleet book (placement, acks, pending) to the new epoch, and
-// reload every worker. Caller holds c.mu's write side, so in-flight
-// probes have drained against the old epoch. Worker reload failures mark
-// the worker down — they never fail the re-shard, because the
-// coordinator can always count locally.
-func (c *Coordinator) reshardLocked() error {
-	if c.snap.JournalBytes() > 0 {
-		if err := repaircount.CompactSnapshot(c.cfg.SnapshotPath, c.cfg.SnapshotPath); err != nil {
-			return fmt.Errorf("cluster: compacting %s: %w", c.cfg.SnapshotPath, err)
-		}
-		snap, err := repaircount.OpenSnapshot(c.cfg.SnapshotPath)
-		if err != nil {
-			return err
-		}
-		old := c.snap
-		c.snap = snap
-		old.Close()
-	}
-	st, err := os.Stat(c.cfg.SnapshotPath)
+// Reshard cuts the shard set of a new epoch from snap: re-plan the
+// partition at the current version, write fresh shard snapshots plus
+// manifest under ShardDir/epoch-N/, swing the fleet book (placement,
+// acks, pending) to the new epoch, and reload every worker. The server
+// holds its write lock, so in-flight probes have drained against the old
+// epoch, and has compacted any journal into the sealed base the shard
+// digests refer to. Worker reload failures mark the worker down — they
+// never fail the re-shard, because the coordinator can always count
+// locally.
+func (c *fleet) Reshard(snap *repaircount.Snapshot, epoch uint64) error {
+	counter, err := snap.Counter(c.query)
 	if err != nil {
 		return err
 	}
-	c.baseLen = st.Size() - c.snap.JournalBytes()
-
-	counter, err := c.snap.Counter(c.query)
+	plan, err := counter.PlanShards(len(c.workers))
 	if err != nil {
 		return err
 	}
-	plan, err := counter.PlanShards(len(c.fleet))
-	if err != nil {
-		return err
-	}
-	epoch := c.epoch + 1
 	dir := filepath.Join(c.cfg.ShardDir, fmt.Sprintf("epoch-%06d", epoch))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	set, err := counter.WriteShards(dir, plan, c.snap.Digest())
+	set, err := counter.WriteShards(dir, plan, snap.Digest())
 	if err != nil {
 		return fmt.Errorf("cluster: writing shard set for epoch %d: %w", epoch, err)
 	}
@@ -347,7 +211,7 @@ func (c *Coordinator) reshardLocked() error {
 	for i := range c.parts {
 		c.parts[i] = partialMemo{}
 	}
-	for _, ws := range c.fleet {
+	for _, ws := range c.workers {
 		ws.lastAck = 0
 		ws.pending = nil
 		ws.stale = false
@@ -359,13 +223,13 @@ func (c *Coordinator) reshardLocked() error {
 	// happened, so a worker that misses its reload is simply down until
 	// the maintenance loop heals it.
 	var wg sync.WaitGroup
-	for s := range c.fleet {
+	for s := range c.workers {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			applied, err := c.sendReload(s)
 			c.fmu.Lock()
-			ws := c.fleet[s]
+			ws := c.workers[s]
 			if err != nil {
 				ws.down = true
 			} else {
@@ -374,7 +238,7 @@ func (c *Coordinator) reshardLocked() error {
 			}
 			c.fmu.Unlock()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "cluster: reload of worker %d (%s) failed: %v\n", s, c.fleet[s].url, err)
+				fmt.Fprintf(os.Stderr, "cluster: reload of worker %d (%s) failed: %v\n", s, c.workers[s].url, err)
 			}
 		}(s)
 	}
@@ -384,17 +248,17 @@ func (c *Coordinator) reshardLocked() error {
 
 // sendReload assigns shard s of the current epoch to worker s and
 // returns the applied version the worker acknowledged.
-func (c *Coordinator) sendReload(s int) (uint64, error) {
+func (c *fleet) sendReload(s int) (uint64, error) {
 	c.fmu.Lock()
 	req := reloadRequest{
 		Epoch:        c.epoch,
 		Shard:        s,
-		K:            len(c.fleet),
+		K:            len(c.workers),
 		ManifestPath: c.shards.ManifestPath,
 		ShardPath:    c.shards.Paths[s],
 		ManifestCRC:  fmt.Sprintf("%016x", c.shards.ManifestCRC),
 	}
-	url := c.fleet[s].url
+	url := c.workers[s].url
 	c.fmu.Unlock()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -427,12 +291,12 @@ func (c *Coordinator) sendReload(s int) (uint64, error) {
 	return rr.Applied, nil
 }
 
-// maintainLoop periodically heals down and stale workers: reload them
+// maintainLoop heals down and stale workers every poll: reload them
 // onto the current epoch and kick the flusher so their pending deltas
 // replay. Healthy fleets cost one mutex peek per tick.
-func (c *Coordinator) maintainLoop() {
-	defer close(c.maintDone)
-	tick := time.NewTicker(c.cfg.Poll)
+func (c *fleet) maintainLoop(poll time.Duration) {
+	defer c.loops.Done()
+	tick := time.NewTicker(poll)
 	defer tick.Stop()
 	for {
 		select {
@@ -442,7 +306,7 @@ func (c *Coordinator) maintainLoop() {
 		}
 		c.fmu.Lock()
 		var heal []int
-		for s, ws := range c.fleet {
+		for s, ws := range c.workers {
 			if ws.down || ws.stale {
 				heal = append(heal, s)
 			}
@@ -454,7 +318,7 @@ func (c *Coordinator) maintainLoop() {
 				continue // still down; next tick retries
 			}
 			c.fmu.Lock()
-			ws := c.fleet[s]
+			ws := c.workers[s]
 			ws.lastAck = applied
 			ws.down = false
 			ws.stale = false
@@ -466,17 +330,9 @@ func (c *Coordinator) maintainLoop() {
 	}
 }
 
-func (c *Coordinator) kickFlusher() {
+func (c *fleet) kickFlusher() {
 	select {
 	case c.flushCh <- struct{}{}:
 	default:
-	}
-}
-
-// tailLoop runs the ops tailer until Close or a write-path failure.
-func (c *Coordinator) tailLoop() {
-	defer close(c.tailDone)
-	if err := c.tailer.Run(c.stop); err != nil {
-		c.degrade(err)
 	}
 }

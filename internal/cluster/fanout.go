@@ -59,11 +59,10 @@ type fanPlan struct {
 	maxCost  int64    // fleet critical path: max_w Σ planned cost on w
 }
 
-// currentFanPlan returns the fan-out validation for the current version,
-// rebuilding it if deltas moved the instance. Caller holds c.mu.RLock,
-// so the version cannot move underneath.
-func (c *Coordinator) currentFanPlan() *fanPlan {
-	version := c.snap.Version()
+// currentFanPlan returns the fan-out validation for the instance
+// version, rebuilding it if deltas moved the instance. Caller holds the
+// server's read lock, so the version cannot move underneath.
+func (c *fleet) currentFanPlan(version uint64) *fanPlan {
 	c.fmu.Lock()
 	defer c.fmu.Unlock()
 	if c.fan != nil && c.fan.version == version {
@@ -74,11 +73,11 @@ func (c *Coordinator) currentFanPlan() *fanPlan {
 }
 
 // buildFanPlanLocked re-factorizes at the current version and validates
-// the fresh partition against the physical placement. Caller holds
-// c.mu.RLock and c.fmu.
-func (c *Coordinator) buildFanPlanLocked(version uint64) *fanPlan {
+// the fresh partition against the physical placement. Caller holds the
+// server's read lock and c.fmu.
+func (c *fleet) buildFanPlanLocked(version uint64) *fanPlan {
 	fp := &fanPlan{version: version, effOuter: big.NewInt(1)}
-	plan, err := c.pcounter.PlanShards(len(c.fleet))
+	plan, err := c.pcounter.PlanShards(len(c.workers))
 	if err != nil {
 		fp.reason = err.Error()
 		return fp
@@ -129,7 +128,7 @@ func (c *Coordinator) buildFanPlanLocked(version uint64) *fanPlan {
 			}
 		}
 	}
-	cost := make([]int64, len(c.fleet))
+	cost := make([]int64, len(c.workers))
 	for ci := range plan.Components {
 		if w := compWorker[ci]; w >= 0 {
 			cost[w] += plan.Components[ci].Cost
@@ -160,17 +159,17 @@ type fleetView struct {
 // fleetReady returns the frozen fleet view, or the reason the fleet
 // cannot serve a fan-out right now (a worker down, stale, or with
 // deltas still in flight).
-func (c *Coordinator) fleetReady() (*fleetView, string) {
+func (c *fleet) fleetReady() (*fleetView, string) {
 	c.fmu.Lock()
 	defer c.fmu.Unlock()
 	fv := &fleetView{
 		epoch:    c.epoch,
 		manifest: c.shards.Manifest,
 		mcrc:     c.shards.ManifestCRC,
-		urls:     make([]string, len(c.fleet)),
-		acks:     make([]uint64, len(c.fleet)),
+		urls:     make([]string, len(c.workers)),
+		acks:     make([]uint64, len(c.workers)),
 	}
-	for s, ws := range c.fleet {
+	for s, ws := range c.workers {
 		switch {
 		case ws.down:
 			return nil, fmt.Sprintf("worker %d (%s) is down", s, ws.url)
@@ -193,7 +192,7 @@ func (c *Coordinator) fleetReady() (*fleetView, string) {
 // coordinator sends the memoized stamps as a conditional fetch and the
 // worker answers 204 when its shard hasn't moved, instead of running
 // CountPartial and shipping the partial again. Guarded by
-// Coordinator.fmu; reset on re-shard.
+// fleet.fmu; reset on re-shard.
 type partialMemo struct {
 	ok    bool
 	epoch uint64
@@ -203,8 +202,8 @@ type partialMemo struct {
 
 // cachedPartial returns worker s's memoized partial when its stamps
 // match the frozen fleet view, nil otherwise.
-func (c *Coordinator) cachedPartial(s int, fv *fleetView) *store.PartialFile {
-	if c.cache == nil {
+func (c *fleet) cachedPartial(s int, fv *fleetView) *store.PartialFile {
+	if c.cfg.CacheEntries < 0 {
 		return nil
 	}
 	c.fmu.Lock()
@@ -218,8 +217,8 @@ func (c *Coordinator) cachedPartial(s int, fv *fleetView) *store.PartialFile {
 
 // storePartials memoizes a fully verified partial set under the fleet
 // view's stamps. Only called after every partial passed the ladder.
-func (c *Coordinator) storePartials(fv *fleetView, parts []*store.PartialFile) {
-	if c.cache == nil {
+func (c *fleet) storePartials(fv *fleetView, parts []*store.PartialFile) {
+	if c.cfg.CacheEntries < 0 {
 		return
 	}
 	c.fmu.Lock()
@@ -231,16 +230,14 @@ func (c *Coordinator) storePartials(fv *fleetView, parts []*store.PartialFile) {
 
 // integrityError is a merge-safety violation: a partial that must not be
 // merged. It is never retried — the worker is marked stale and the probe
-// answers a structured 502.
-type integrityError struct {
-	code string // "stale_partial" or "foreign_partial"
-	err  error
+// answers a structured 502 with the given code ("stale_partial" or
+// "foreign_partial").
+func integrityError(code string, err error) *server.APIError {
+	return &server.APIError{Status: http.StatusBadGateway, Code: code, Message: err.Error()}
 }
 
-func (e *integrityError) Error() string { return e.err.Error() }
-
 // fanOut fetches, verifies and merges one partial per worker, returning
-// the rendered exact count; an *integrityError when a verified-stale or
+// the rendered exact count; an integrityError when a verified-stale or
 // foreign partial surfaced (502, never merged); or an availability
 // error when a worker stayed unreachable through the retry budget (the
 // caller falls back to local counting). Workers whose shard hasn't
@@ -249,7 +246,7 @@ func (e *integrityError) Error() string { return e.err.Error() }
 // merged result is memoized for (epoch, version), the merge itself is
 // skipped too — but never the per-worker round trips, which are the
 // fleet's failure detector.
-func (c *Coordinator) fanOut(ctx context.Context, fv *fleetView, effOuter *big.Int, ent *server.CacheEntry, version uint64) (string, error) {
+func (c *fleet) fanOut(ctx context.Context, fv *fleetView, effOuter *big.Int, ent *server.CacheEntry, version uint64) (string, error) {
 	parts := make([]*store.PartialFile, len(fv.urls))
 	errs := make([]error, len(fv.urls))
 	var wg sync.WaitGroup
@@ -310,21 +307,18 @@ func (c *Coordinator) fanOut(ctx context.Context, fv *fleetView, effOuter *big.I
 
 // verifyPartial runs the merge safety ladder on one fetched partial:
 // the offline digest gate, then the epoch stamp, then the applied stamp.
-func (c *Coordinator) verifyPartial(fv *fleetView, s int, p *store.PartialFile) error {
+func (c *fleet) verifyPartial(fv *fleetView, s int, p *store.PartialFile) error {
 	if err := store.CheckPartial(fv.manifest, fv.mcrc, p); err != nil {
-		return &integrityError{code: "foreign_partial", err: err}
+		return integrityError("foreign_partial", err)
 	}
 	if p.Shard != s {
-		return &integrityError{code: "foreign_partial",
-			err: fmt.Errorf("worker %d returned a partial for shard %d", s, p.Shard)}
+		return integrityError("foreign_partial", fmt.Errorf("worker %d returned a partial for shard %d", s, p.Shard))
 	}
 	if p.Epoch != fv.epoch {
-		return &integrityError{code: "stale_partial",
-			err: fmt.Errorf("worker %d answered under epoch %d, fleet is at %d", s, p.Epoch, fv.epoch)}
+		return integrityError("stale_partial", fmt.Errorf("worker %d answered under epoch %d, fleet is at %d", s, p.Epoch, fv.epoch))
 	}
 	if p.Applied != fv.acks[s] {
-		return &integrityError{code: "stale_partial",
-			err: fmt.Errorf("worker %d counted at version %d, last acked delta was %d", s, p.Applied, fv.acks[s])}
+		return integrityError("stale_partial", fmt.Errorf("worker %d counted at version %d, last acked delta was %d", s, p.Applied, fv.acks[s]))
 	}
 	return nil
 }
@@ -335,7 +329,7 @@ func (c *Coordinator) verifyPartial(fv *fleetView, s int, p *store.PartialFile) 
 // have carries the memoized partial's "epoch-applied" stamps as a
 // conditional fetch; unchanged reports the worker's 204 answer (shard
 // state still at those stamps, no partial body shipped).
-func (c *Coordinator) fetchPartial(ctx context.Context, url, have string) (*store.PartialFile, bool, error) {
+func (c *fleet) fetchPartial(ctx context.Context, url, have string) (*store.PartialFile, bool, error) {
 	backoff := c.cfg.RetryBackoff
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
@@ -361,7 +355,7 @@ func (c *Coordinator) fetchPartial(ctx context.Context, url, have string) (*stor
 	return nil, false, lastErr
 }
 
-func (c *Coordinator) getPartial(ctx context.Context, url, have string) (*store.PartialFile, bool, error) {
+func (c *fleet) getPartial(ctx context.Context, url, have string) (*store.PartialFile, bool, error) {
 	target := url + "/v1/partial"
 	if have != "" {
 		target += "?have=" + have
@@ -389,14 +383,14 @@ func (c *Coordinator) getPartial(ctx context.Context, url, have string) (*store.
 	return p, false, err
 }
 
-func (c *Coordinator) markDown(s int) {
+func (c *fleet) markDown(s int) {
 	c.fmu.Lock()
-	c.fleet[s].down = true
+	c.workers[s].down = true
 	c.fmu.Unlock()
 }
 
-func (c *Coordinator) markStale(s int) {
+func (c *fleet) markStale(s int) {
 	c.fmu.Lock()
-	c.fleet[s].stale = true
+	c.workers[s].stale = true
 	c.fmu.Unlock()
 }

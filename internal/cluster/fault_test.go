@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repaircount/internal/cluster"
+	"repaircount/internal/server"
 	"repaircount/internal/store"
 	"repaircount/internal/workload"
 )
@@ -92,10 +93,10 @@ func TestWorkerDownDegradesAndRecovers(t *testing.T) {
 	victim := startRestartable(t)
 	peers := append(startWorkers(t, 3), victim.url())
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
+		Config:   server.Config{SnapshotPath: path},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	// Healthy fleet serves by fan-out.
@@ -201,10 +202,10 @@ func TestStaleEpochPartialRefused(t *testing.T) {
 		p.Epoch++
 	})}
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
+		Config:   server.Config{SnapshotPath: path},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	status, body, _ := get(t, ts, countURL(qs))
@@ -228,10 +229,10 @@ func TestForeignManifestPartialRefused(t *testing.T) {
 		p.ManifestCRC ^= 0xdecade
 	})}
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
+		Config:   server.Config{SnapshotPath: path},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	status, body, _ := get(t, ts, countURL(qs))
@@ -256,10 +257,10 @@ func TestStalePartialAfterUnackedDelta(t *testing.T) {
 		p.Applied += 3
 	})}
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
+		Config:   server.Config{SnapshotPath: path},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	status, body, _ := get(t, ts, countURL(qs))

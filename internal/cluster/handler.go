@@ -4,129 +4,25 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 
 	"repaircount"
 	"repaircount/internal/server"
 )
 
-// The coordinator's probe API mirrors the single-node daemon
-// (internal/server) exactly — same endpoints, same admission ladder,
-// same structured errors — with one addition: a /v1/count probe for the
-// partition query fans out to the worker fleet when the fan-out is
-// sound, and its exact rung is admitted on the FLEET CRITICAL PATH (the
-// max over workers of their components' summed planned cost) instead of
-// the local plan total, because shards count in parallel. Every other
-// query, and every probe the fleet cannot soundly serve, runs on the
-// coordinator's own snapshot — the cluster never answers worse than a
-// single node.
+// The coordinator serves the probe API through internal/server's one
+// pipeline; this file is its fleet hook. The hook claims counts of the
+// partition query and fans them out to the workers when the fan-out is
+// sound, the fleet is synced, and the exact rung fits on the FLEET
+// CRITICAL PATH (the max over workers of their components' summed
+// planned cost) rather than the local plan total, because shards count
+// in parallel. Every other probe, and every claimed count the fleet
+// declines, is served by the pipeline on the coordinator's own snapshot
+// — the cluster never answers worse than a single node.
 
-// Handler routes the coordinator probe API.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/count", c.handleCount)
-	mux.HandleFunc("/v1/decide", c.handleDecide)
-	mux.HandleFunc("/v1/explain", c.handleExplain)
-	mux.HandleFunc("/v1/total", c.handleTotal)
-	mux.HandleFunc("/v1/stats", c.handleStats)
-	mux.HandleFunc("/healthz", c.handleHealth)
-	return mux
-}
-
-// withProbe runs fn on an acquired slot under the read lock, handling
-// slot acquisition, queue overload and the probe deadline uniformly.
-func (c *Coordinator) withProbe(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context, sl *server.Slot)) {
-	c.stats.probes.Add(1)
-	ctx, cancel := contextWithTimeout(r, c.cfg.Deadline)
-	defer cancel()
-	sl, err := c.pool.Acquire(ctx)
-	if err != nil {
-		if err == server.ErrOverloaded {
-			c.stats.overloaded.Add(1)
-			server.WriteErr(w, http.StatusServiceUnavailable, server.APIError{Code: "overloaded",
-				Message: fmt.Sprintf("%d probes already queued", c.cfg.QueueDepth)})
-			return
-		}
-		c.writeCtxErr(w, ctx)
-		return
-	}
-	defer c.pool.Release(sl)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	fn(ctx, sl)
-}
-
-func (c *Coordinator) writeCtxErr(w http.ResponseWriter, ctx context.Context) {
-	if ctx.Err() == context.DeadlineExceeded {
-		c.stats.deadline.Add(1)
-		server.WriteErr(w, http.StatusGatewayTimeout, server.APIError{Code: "deadline_exceeded",
-			Message: fmt.Sprintf("probe exceeded the %s deadline", c.cfg.Deadline)})
-		return
-	}
-	server.WriteErr(w, 499, server.APIError{Code: "canceled", Message: "client canceled the probe"})
-}
-
-// curEpoch reads the shard-set epoch. The caller holds c.mu.RLock, so
-// the epoch cannot swing while the probe runs.
-func (c *Coordinator) curEpoch() uint64 {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	return c.epoch
-}
-
-// buildCounter parses and compiles one query against the coordinator's
-// own snapshot. Caller holds c.mu.RLock.
-func (c *Coordinator) buildCounter(qs string) (*repaircount.Counter, error) {
-	q, err := repaircount.ParseQuery(qs)
-	if err != nil {
-		return nil, err
-	}
-	return c.snap.Counter(q)
-}
-
-// counterFor returns the slot's cached local counter for the query text.
-// This is the cache-disabled fallback; with the shared cache on, probes
-// go through acquireEntry. Caller holds c.mu.RLock.
-func (c *Coordinator) counterFor(sl *server.Slot, qs string) (*repaircount.Counter, error) {
-	return sl.Counter(c.curEpoch(), qs, c.buildCounter)
-}
-
-// acquireEntry locks the shared cache entry for qs, writing the
-// transport answer on failure. Caller holds c.mu.RLock and must Release
-// the entry when non-nil.
-func (c *Coordinator) acquireEntry(w http.ResponseWriter, ctx context.Context, epoch uint64, qs string) *server.CacheEntry {
-	ent, err := c.cache.Acquire(ctx, epoch, qs, c.buildCounter)
-	if err != nil {
-		if ctx.Err() != nil {
-			c.writeCtxErr(w, ctx)
-		} else {
-			server.WriteErr(w, http.StatusBadRequest, server.APIError{Code: "bad_query", Message: err.Error()})
-		}
-		return nil
-	}
-	return ent
-}
-
-// price runs the single-node admission ladder, memoized per (epoch,
-// version) when a cache entry is present. Fleet critical-path pricing
-// (PriceCost) is never memoized: it depends on fleet health, not just
-// the instance state — and it is a constant-time comparison anyway.
-func (c *Coordinator) price(ent *server.CacheEntry, cnt *repaircount.Counter, epoch, version uint64) server.Admission {
-	if ent == nil {
-		return c.ladder.Price(cnt)
-	}
-	if adm, ok := ent.Admission(epoch, version); ok {
-		return adm
-	}
-	adm := c.ladder.Price(cnt)
-	ent.StoreAdmission(epoch, version, adm)
-	return adm
-}
-
-// isPartitionQuery reports whether a probe's query is the fleet's
-// partition query, by canonical rendering.
-func (c *Coordinator) isPartitionQuery(qs string) bool {
+// Claims reports whether qs is the partition query, by canonical
+// rendering.
+func (c *fleet) Claims(qs string) bool {
 	if qs == c.cfg.Query || qs == c.qs {
 		return true
 	}
@@ -137,333 +33,83 @@ func (c *Coordinator) isPartitionQuery(qs string) bool {
 	return fmt.Sprintf("%s", q) == c.qs
 }
 
-func (c *Coordinator) handleCount(w http.ResponseWriter, r *http.Request) {
-	qs, err := server.ProbeQuery(r)
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.APIError{Code: "bad_query", Message: err.Error()})
-		return
+// route decides whether a partition count at version fans out: the fan
+// plan must be sound, the fleet synced and healthy, and the critical
+// path within the exact budget. It returns the plan, the frozen fleet
+// view and the fleet's exact admission, or the reason to count locally.
+func (c *fleet) route(l server.Ladder, version uint64) (*fanPlan, *fleetView, server.Admission, string) {
+	fp := c.currentFanPlan(version)
+	if !fp.ok {
+		return fp, nil, server.Admission{}, fp.reason
 	}
-	c.withProbe(w, r, func(ctx context.Context, sl *server.Slot) {
-		version := c.snap.Version()
-		epoch := c.curEpoch()
-		var ent *server.CacheEntry
-		var cnt *repaircount.Counter
-		if c.cache != nil {
-			if ent = c.acquireEntry(w, ctx, epoch, qs); ent == nil {
-				return
-			}
-			defer c.cache.Release(ent)
-			cnt = ent.Counter()
-		} else {
-			var err error
-			if cnt, err = c.counterFor(sl, qs); err != nil {
-				server.WriteErr(w, http.StatusBadRequest, server.APIError{Code: "bad_query", Message: err.Error()})
-				return
-			}
-		}
-
-		// Decide the serving path: fleet fan-out needs the partition
-		// query, a sound fan plan, and a synced, healthy fleet.
-		var (
-			fanable  bool
-			fallback string
-			fp       *fanPlan
-			fv       *fleetView
-		)
-		if c.isPartitionQuery(qs) {
-			fp = c.currentFanPlan()
-			if !fp.ok {
-				fallback = fp.reason
-			} else if fv, fallback = c.fleetReady(); fallback == "" {
-				fanable = true
-			}
-		}
-
-		// Admission: the fleet serves the exact rung on its critical path;
-		// everything else is priced like a single node.
-		var adm server.Admission
-		if fanable {
-			adm = c.ladder.PriceCost(cnt, fp.maxCost)
-		} else {
-			adm = c.price(ent, cnt, epoch, version)
-		}
-
-		if adm.Mode == server.AdmitExact && fanable {
-			str, err := c.fanOut(ctx, fv, fp.effOuter, ent, version)
-			var ie *integrityError
-			switch {
-			case err == nil:
-				c.stats.fanouts.Add(1)
-				c.stats.exact.Add(1)
-				server.WriteResult(w, r, str, map[string]any{
-					"mode": "exact", "count": str, "engine": "fanout",
-					"k": len(c.fleet), "version": version, "epoch": fv.epoch,
-				})
-				return
-			case ctx.Err() != nil:
-				c.writeCtxErr(w, ctx)
-				return
-			case errors.As(err, &ie):
-				// A verified-stale or foreign partial: refusing loudly is
-				// the contract — merging it could miscount.
-				server.WriteErr(w, http.StatusBadGateway,
-					server.APIError{Code: ie.code, Message: ie.err.Error()})
-				return
-			default:
-				// Availability: a worker stayed down through the retry
-				// budget. Degrade to local counting — still exact.
-				fanable = false
-				fallback = err.Error()
-				fmt.Fprintf(os.Stderr, "cluster: fan-out failed, serving locally: %v\n", err)
-			}
-		}
-
-		if adm.Mode == server.AdmitExact {
-			c.stats.localFallback.Add(1)
-			localResp := func(str string) map[string]any {
-				resp := map[string]any{
-					"mode": "exact", "count": str, "engine": "local",
-					"version": version, "epoch": epoch,
-				}
-				if fallback != "" {
-					resp["fallback_reason"] = fallback
-				}
-				return resp
-			}
-			if ent != nil {
-				if res, ok := ent.Result(server.ResultCount, epoch, version); ok {
-					c.stats.exact.Add(1)
-					server.WriteResult(w, r, res.Str, localResp(res.Str))
-					return
-				}
-			}
-			n, err := cnt.CountShardedCtx(ctx, len(c.fleet), c.cfg.CountWorkers)
-			switch {
-			case err == nil:
-				c.stats.exact.Add(1)
-				str := n.String()
-				if ent != nil {
-					ent.StoreResult(server.ResultCount, epoch, version, server.CachedResult{N: n, Str: str})
-				}
-				server.WriteResult(w, r, str, localResp(str))
-				return
-			case ctx.Err() != nil:
-				c.writeCtxErr(w, ctx)
-				return
-			case errors.Is(err, repaircount.ErrBudget):
-				adm = c.ladder.PriceApprox(cnt, adm)
-			default:
-				server.WriteErr(w, http.StatusInternalServerError, server.APIError{Code: "internal", Message: err.Error()})
-				return
-			}
-		}
-
-		if adm.Mode == server.AdmitApprox {
-			est, err := cnt.ApproximateParallelCtx(ctx, c.cfg.Eps, c.cfg.Delta, c.cfg.CountWorkers, c.cfg.Seed)
-			if err != nil {
-				if ctx.Err() != nil {
-					c.writeCtxErr(w, ctx)
-					return
-				}
-				server.WriteErr(w, http.StatusInternalServerError, server.APIError{Code: "internal", Message: err.Error()})
-				return
-			}
-			c.stats.approx.Add(1)
-			server.WriteResult(w, r, est.Value.Text('f', 2), map[string]any{
-				"mode": "approx", "estimate": est.Value.Text('f', 2),
-				"eps": c.cfg.Eps, "delta": c.cfg.Delta,
-				"samples": est.Samples, "hits": est.Hits,
-				"version": version,
-			})
-			return
-		}
-
-		c.stats.rejected.Add(1)
-		server.WriteErr(w, http.StatusTooManyRequests, c.ladder.BudgetError(adm))
-	})
+	fv, reason := c.fleetReady()
+	if reason != "" {
+		return fp, nil, server.Admission{}, reason
+	}
+	adm, ok := l.PriceCost(fp.maxCost)
+	if !ok {
+		return fp, nil, adm, fmt.Sprintf("fleet critical path costs %d, over the exact budget %d", fp.maxCost, l.ExactBudget)
+	}
+	return fp, fv, adm, ""
 }
 
-func (c *Coordinator) handleDecide(w http.ResponseWriter, r *http.Request) {
-	qs, err := server.ProbeQuery(r)
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.APIError{Code: "bad_query", Message: err.Error()})
-		return
-	}
-	c.withProbe(w, r, func(ctx context.Context, sl *server.Slot) {
-		version := c.snap.Version()
-		var entailed bool
-		if c.cache != nil {
-			epoch := c.curEpoch()
-			ent := c.acquireEntry(w, ctx, epoch, qs)
-			if ent == nil {
-				return
-			}
-			defer c.cache.Release(ent)
-			res, ok := ent.Result(server.ResultDecide, epoch, version)
-			if !ok {
-				res = server.CachedResult{Entailed: ent.Counter().Decide()}
-				res.Str = fmt.Sprintf("%v", res.Entailed)
-				ent.StoreResult(server.ResultDecide, epoch, version, res)
-			}
-			entailed = res.Entailed
-		} else {
-			cnt, err := c.counterFor(sl, qs)
-			if err != nil {
-				server.WriteErr(w, http.StatusBadRequest, server.APIError{Code: "bad_query", Message: err.Error()})
-				return
-			}
-			entailed = cnt.Decide()
+// Count serves a partition count by fan-out, or declines with the
+// reason (a server.Fallback) when it must be counted locally.
+func (c *fleet) Count(ctx context.Context, ent *server.CacheEntry, l server.Ladder, version uint64) (string, map[string]any, error) {
+	fp, fv, _, reason := c.route(l, version)
+	if reason == "" {
+		str, err := c.fanOut(ctx, fv, fp.effOuter, ent, version)
+		var ae *server.APIError
+		switch {
+		case err == nil:
+			c.stats.fanouts.Add(1)
+			return str, map[string]any{"engine": "fanout", "k": len(c.workers)}, nil
+		case ctx.Err() != nil || errors.As(err, &ae):
+			// A verified-stale or foreign partial: refusing loudly is the
+			// contract — merging it could miscount.
+			return "", nil, err
 		}
-		server.WriteResult(w, r, fmt.Sprintf("%v", entailed), map[string]any{
-			"entailed": entailed, "version": version,
-		})
-	})
+		// Availability: a worker stayed down through the retry budget.
+		// Degrade to local counting — still exact.
+		reason = err.Error()
+		fmt.Fprintf(os.Stderr, "cluster: fan-out failed, serving locally: %v\n", err)
+	}
+	c.stats.localFallback.Add(1)
+	return "", nil, server.Fallback(reason)
 }
 
-// handleExplain prices a probe without running it; for the partition
-// query it additionally reports whether a fan-out would be sound and the
-// fleet critical-path cost that would price its exact rung.
-func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
-	qs, err := server.ProbeQuery(r)
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.APIError{Code: "bad_query", Message: err.Error()})
-		return
+// Explain reports whether a partition count would fan out, the fleet
+// critical-path cost that prices it, and otherwise why not.
+func (c *fleet) Explain(l server.Ladder, version uint64, body map[string]any) (server.Admission, bool) {
+	fp, _, adm, reason := c.route(l, version)
+	body["fanout"] = reason == ""
+	if fp.ok {
+		body["fleet_cost"] = fp.maxCost
 	}
-	c.withProbe(w, r, func(ctx context.Context, sl *server.Slot) {
-		version := c.snap.Version()
-		epoch := c.curEpoch()
-		var ent *server.CacheEntry
-		var cnt *repaircount.Counter
-		if c.cache != nil {
-			if ent = c.acquireEntry(w, ctx, epoch, qs); ent == nil {
-				return
-			}
-			defer c.cache.Release(ent)
-			cnt = ent.Counter()
-		} else {
-			var err error
-			if cnt, err = c.counterFor(sl, qs); err != nil {
-				server.WriteErr(w, http.StatusBadRequest, server.APIError{Code: "bad_query", Message: err.Error()})
-				return
-			}
-		}
-		resp := map[string]any{"version": version}
-		var adm server.Admission
-		if c.isPartitionQuery(qs) {
-			fp := c.currentFanPlan()
-			_, notReady := c.fleetReady()
-			fanable := fp.ok && notReady == ""
-			resp["fanout"] = fanable
-			if fp.ok {
-				resp["fleet_cost"] = fp.maxCost
-			}
-			switch {
-			case !fp.ok:
-				resp["fanout_reason"] = fp.reason
-			case notReady != "":
-				resp["fanout_reason"] = notReady
-			}
-			if fanable {
-				adm = c.ladder.PriceCost(cnt, fp.maxCost)
-			} else {
-				adm = c.price(ent, cnt, epoch, version)
-			}
-		} else {
-			resp["fanout"] = false
-			adm = c.price(ent, cnt, epoch, version)
-		}
-		resp["admission"] = adm.Mode
-		resp["engine"] = adm.Engine.String()
-		if adm.PlannedCost != nil {
-			resp["planned_cost"] = adm.PlannedCost.String()
-		}
-		if adm.SampleBound != nil {
-			resp["sample_bound"] = adm.SampleBound.String()
-			resp["eps"], resp["delta"] = c.cfg.Eps, c.cfg.Delta
-		}
-		if adm.Mode == server.AdmitReject {
-			resp["reason"] = adm.Reason
-		}
-		server.WriteJSON(w, http.StatusOK, resp)
-	})
+	if reason != "" {
+		body["fanout_reason"] = reason
+		return adm, false
+	}
+	return adm, true
 }
 
-func (c *Coordinator) handleTotal(w http.ResponseWriter, r *http.Request) {
-	c.withProbe(w, r, func(ctx context.Context, sl *server.Slot) {
-		version := c.snap.Version()
-		var str string
-		if c.cache != nil {
-			_, str = c.cache.Total(c.curEpoch(), version, c.snap.TotalRepairs)
-		} else {
-			str = c.snap.TotalRepairs().String()
-		}
-		server.WriteResult(w, r, str, map[string]any{
-			"total": str, "version": version,
-		})
-	})
-}
-
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	c.mu.RLock()
-	version := c.snap.Version()
-	journalBytes := int64(0)
-	if st, err := os.Stat(c.cfg.SnapshotPath); err == nil {
-		journalBytes = st.Size() - c.baseLen
-	}
-	c.mu.RUnlock()
-	opsOffset := int64(0)
-	if c.tailer != nil {
-		opsOffset = c.tailer.Offset()
-	}
+// Stats adds the fleet book and the fleet counters to /v1/stats.
+func (c *fleet) Stats(body map[string]any) {
 	c.fmu.Lock()
-	workers := make([]map[string]any, len(c.fleet))
-	for s, ws := range c.fleet {
+	workers := make([]map[string]any, len(c.workers))
+	for s, ws := range c.workers {
 		workers[s] = map[string]any{
 			"url": ws.url, "down": ws.down, "stale": ws.stale,
 			"last_ack": ws.lastAck, "pending": len(ws.pending),
 		}
 	}
-	epoch := c.epoch
-	mcrc := fmt.Sprintf("%016x", c.shards.ManifestCRC)
+	body["manifest"] = fmt.Sprintf("%016x", c.shards.ManifestCRC)
 	c.fmu.Unlock()
-	var cs server.CacheStats
-	if c.cache != nil {
-		cs = c.cache.Stats()
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"epoch":            epoch,
-		"manifest":         mcrc,
-		"k":                len(c.fleet),
-		"version":          version,
-		"workers":          workers,
-		"journal_bytes":    journalBytes,
-		"applied_ops":      c.appliedOps.Load(),
-		"journaled_ops":    c.journaled.Load(),
-		"ops_offset":       opsOffset,
-		"recovered_bytes":  c.recovered,
-		"degraded":         c.degraded(),
-		"probes":           c.stats.probes.Load(),
-		"exact_probes":     c.stats.exact.Load(),
-		"approx_probes":    c.stats.approx.Load(),
-		"rejected_probes":  c.stats.rejected.Load(),
-		"overloaded":       c.stats.overloaded.Load(),
-		"deadline_expired": c.stats.deadline.Load(),
-		"fanout_probes":    c.stats.fanouts.Load(),
-		"local_fallback":   c.stats.localFallback.Load(),
-		"integrity_errors": c.stats.integrity.Load(),
-		"reshards":         c.stats.reshards.Load(),
-		"cache_hits":       cs.Hits,
-		"cache_misses":     cs.Misses,
-		"cache_evictions":  cs.Evictions,
-		"cache_entries":    cs.Entries,
-		"partial_hits":     c.stats.partialHits.Load(),
-	})
-}
-
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if reason := c.degraded(); reason != "" {
-		http.Error(w, "degraded: "+reason, http.StatusServiceUnavailable)
-		return
-	}
-	w.Write([]byte("ok\n"))
+	body["k"] = len(c.workers)
+	body["workers"] = workers
+	body["fanout_probes"] = c.stats.fanouts.Load()
+	body["local_fallback"] = c.stats.localFallback.Load()
+	body["integrity_errors"] = c.stats.integrity.Load()
+	body["reshards"] = c.stats.reshards.Load()
+	body["partial_hits"] = c.stats.partialHits.Load()
 }

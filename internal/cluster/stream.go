@@ -9,16 +9,15 @@ import (
 	"os"
 	"strings"
 
-	"repaircount"
 	"repaircount/internal/workload"
 )
 
-// The coordinator's write path. The ops tail applies each batch to the
-// coordinator's own snapshot first — applied through the live instance
-// and journaled with an fsync'd append, exactly like the single-node
-// daemon, so the coordinator alone is always a correct server. The ops
-// that changed the instance are then routed to the fleet by the
-// placement map recorded at the current epoch's birth:
+// The coordinator's write path is the probe server's: the ops tail
+// applies each batch to the coordinator's own snapshot and journals it
+// (server.ApplyJournal), so the coordinator alone is always a correct
+// server. The fleet hook then routes the ops that changed the instance
+// to the workers by the placement map recorded at the current epoch's
+// birth:
 //
 //   - a block owned by worker w streams to w only;
 //   - a shared (replicated singleton) block broadcasts to every worker;
@@ -33,50 +32,10 @@ import (
 // version, which the coordinator records as lastAck — the exact stamp
 // every later partial from that worker must carry.
 
-// applyBatch is the Tailer callback: apply one parsed batch under the
-// write lock (draining in-flight probes), journal the changed ops, route
-// them to the fleet, and re-shard when the journal outgrows its budget.
-func (c *Coordinator) applyBatch(ops []workload.Update) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var changed []repaircount.Delta
-	var changedOps []workload.Update
-	for _, op := range ops {
-		d := repaircount.Insert(op.Fact)
-		if op.Del {
-			d = repaircount.Delete(op.Fact)
-		}
-		n, err := c.snap.Apply(d)
-		if err != nil {
-			return fmt.Errorf("cluster: applying %s: %w", op.Fact, err)
-		}
-		if n > 0 {
-			changed = append(changed, d)
-			changedOps = append(changedOps, op)
-		}
-	}
-	c.appliedOps.Add(int64(len(ops)))
-	if len(changed) > 0 {
-		if err := repaircount.AppendJournal(c.cfg.SnapshotPath, changed...); err != nil {
-			return fmt.Errorf("cluster: journaling %d ops: %w", len(changed), err)
-		}
-		c.journaled.Add(int64(len(changed)))
-		c.routeOps(changedOps)
-	}
-	if c.cfg.CompactBytes > 0 {
-		st, err := os.Stat(c.cfg.SnapshotPath)
-		if err == nil && st.Size()-c.baseLen >= c.cfg.CompactBytes {
-			if err := c.reshardLocked(); err != nil {
-				return fmt.Errorf("cluster: re-sharding: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// routeOps classifies changed ops by the epoch-birth placement and
-// queues them per worker. Caller holds c.mu's write side.
-func (c *Coordinator) routeOps(ops []workload.Update) {
+// Changed routes the ops that changed the instance by the epoch-birth
+// placement and queues them per worker. The server holds its write lock
+// and has applied and journaled the batch.
+func (c *fleet) Changed(ops []workload.Update) {
 	keys := c.pcounter.Instance().Keys
 	c.fmu.Lock()
 	for _, op := range ops {
@@ -90,11 +49,11 @@ func (c *Coordinator) routeOps(ops []workload.Update) {
 		}
 		switch {
 		case w == shardShared:
-			for _, ws := range c.fleet {
+			for _, ws := range c.workers {
 				ws.pending = append(ws.pending, op)
 			}
 		case w >= 0:
-			c.fleet[w].pending = append(c.fleet[w].pending, op)
+			c.workers[w].pending = append(c.workers[w].pending, op)
 		}
 	}
 	c.fmu.Unlock()
@@ -102,8 +61,8 @@ func (c *Coordinator) routeOps(ops []workload.Update) {
 }
 
 // flushLoop drains pending delta queues to the fleet whenever kicked.
-func (c *Coordinator) flushLoop() {
-	defer close(c.flushDone)
+func (c *fleet) flushLoop() {
+	defer c.loops.Done()
 	for {
 		select {
 		case <-c.stop:
@@ -119,11 +78,11 @@ func (c *Coordinator) flushLoop() {
 // did not move mid-flight (a re-shard clears the queues wholesale — its
 // state is baked into the fresh shards). Any failure marks the worker
 // down; the maintenance loop reloads it and this queue replays.
-func (c *Coordinator) flushPending() {
-	for s := range c.fleet {
+func (c *fleet) flushPending() {
+	for s := range c.workers {
 		for {
 			c.fmu.Lock()
-			ws := c.fleet[s]
+			ws := c.workers[s]
 			if ws.down || ws.stale || len(ws.pending) == 0 {
 				c.fmu.Unlock()
 				break
@@ -157,7 +116,7 @@ func (c *Coordinator) flushPending() {
 
 // sendApply POSTs one delta batch to a worker and returns the journaled
 // version it acked.
-func (c *Coordinator) sendApply(url string, epoch uint64, batch []workload.Update) (uint64, error) {
+func (c *fleet) sendApply(url string, epoch uint64, batch []workload.Update) (uint64, error) {
 	var body strings.Builder
 	if err := workload.FormatUpdates(&body, batch); err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -35,9 +36,6 @@ type WorkerConfig struct {
 	QueueDepth int
 	// Deadline is the per-probe wall-clock budget (default 30s).
 	Deadline time.Duration
-	// ColdCounts drops the structural count memo before every partial, so
-	// each probe pays the full cold cost — benchmarking only.
-	ColdCounts bool
 }
 
 func (cfg *WorkerConfig) fill() {
@@ -71,18 +69,17 @@ type assignment struct {
 // digest, epoch and applied version, and delta batches applied through
 // the live instance and journaled to the shard file before the ack.
 type Worker struct {
-	cfg  WorkerConfig
-	pool *server.Pool
+	cfg    WorkerConfig
+	gate   *server.Gate
+	health server.Health
 
 	mu       sync.RWMutex
 	asn      *assignment // nil until assigned
 	snap     *repaircount.Snapshot
 	manifest *store.Manifest
 
-	degradedReason atomic.Pointer[string]
-
 	stats struct {
-		partials, applies, reloads, skips atomic.Int64
+		applies, reloads, skips atomic.Int64
 	}
 }
 
@@ -98,7 +95,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &Worker{cfg: cfg, pool: server.NewPool(cfg.Workers, cfg.QueueDepth)}
+	w := &Worker{cfg: cfg, gate: server.NewGate(cfg.Workers, cfg.QueueDepth, cfg.Deadline)}
 	asn, err := loadAssignment(w.sidecarPath())
 	if err != nil {
 		return nil, err
@@ -209,18 +206,6 @@ func (w *Worker) Close() error {
 	return err
 }
 
-func (w *Worker) degrade(err error) {
-	msg := err.Error()
-	w.degradedReason.CompareAndSwap(nil, &msg)
-}
-
-func (w *Worker) degraded() string {
-	if p := w.degradedReason.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // Handler routes the worker API.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -228,7 +213,7 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("/v1/apply", w.handleApply)
 	mux.HandleFunc("/v1/reload", w.handleReload)
 	mux.HandleFunc("/v1/stats", w.handleStats)
-	mux.HandleFunc("/healthz", w.handleHealth)
+	mux.Handle("/healthz", &w.health)
 	return mux
 }
 
@@ -242,79 +227,55 @@ func writeUnassigned(rw http.ResponseWriter) {
 // version-2 body — the same digest-stamped artifact the offline merge
 // consumes, plus the epoch and applied stamps the coordinator verifies.
 func (w *Worker) handlePartial(rw http.ResponseWriter, r *http.Request) {
-	w.stats.partials.Add(1)
-	ctx, cancel := contextWithTimeout(r, w.cfg.Deadline)
-	defer cancel()
-	sl, err := w.pool.Acquire(ctx)
-	if err != nil {
-		if err == server.ErrOverloaded {
-			server.WriteErr(rw, http.StatusServiceUnavailable,
-				server.APIError{Code: "overloaded", Message: "partial probe queue full"})
+	w.gate.Run(rw, r, &w.mu, func(ctx context.Context, sl *server.Slot) {
+		if w.asn == nil {
+			writeUnassigned(rw)
 			return
 		}
-		server.WriteErr(rw, http.StatusGatewayTimeout,
-			server.APIError{Code: "deadline_exceeded", Message: ctx.Err().Error()})
-		return
-	}
-	defer w.pool.Release(sl)
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if w.asn == nil {
-		writeUnassigned(rw)
-		return
-	}
-	// A conditional fetch: the coordinator already holds the verified
-	// partial for these stamps, so an unmoved shard answers 204 instead
-	// of re-counting and re-shipping it.
-	if have := r.URL.Query().Get("have"); have != "" &&
-		have == fmt.Sprintf("%d-%d", w.asn.Epoch, w.snap.Version()) {
-		w.stats.skips.Add(1)
-		rw.WriteHeader(http.StatusNoContent)
-		return
-	}
-	c, err := sl.Counter(w.asn.Epoch, w.manifest.Query, func(qs string) (*repaircount.Counter, error) {
-		q, err := repaircount.ParseQuery(qs)
-		if err != nil {
-			return nil, err
-		}
-		return w.snap.Counter(q)
-	})
-	if err != nil {
-		server.WriteErr(rw, http.StatusInternalServerError,
-			server.APIError{Code: "internal", Message: err.Error()})
-		return
-	}
-	if w.cfg.ColdCounts {
-		c.Instance().ResetComponentMemo()
-	}
-	p, err := c.CountPartialCtx(ctx, w.cfg.CountWorkers)
-	if err != nil {
-		if ctx.Err() != nil {
-			server.WriteErr(rw, http.StatusGatewayTimeout,
-				server.APIError{Code: "deadline_exceeded", Message: ctx.Err().Error()})
+		// A conditional fetch: the coordinator already holds the verified
+		// partial for these stamps, so an unmoved shard answers 204 instead
+		// of re-counting and re-shipping it.
+		if have := r.URL.Query().Get("have"); have != "" &&
+			have == fmt.Sprintf("%d-%d", w.asn.Epoch, w.snap.Version()) {
+			w.stats.skips.Add(1)
+			rw.WriteHeader(http.StatusNoContent)
 			return
 		}
-		server.WriteErr(rw, http.StatusInternalServerError,
-			server.APIError{Code: "internal", Message: err.Error()})
-		return
-	}
-	body, err := store.EncodePartial(&store.PartialFile{
-		ManifestCRC: w.asn.ManifestCRC,
-		Shard:       w.asn.Shard,
-		K:           w.asn.K,
-		SnapshotCRC: w.snap.Digest(),
-		Inner:       p.Inner,
-		NonEnt:      p.NonEnt,
-		Epoch:       w.asn.Epoch,
-		Applied:     w.snap.Version(),
+		c, err := sl.Counter(w.asn.Epoch, w.manifest.Query, func(qs string) (*repaircount.Counter, error) {
+			q, err := repaircount.ParseQuery(qs)
+			if err != nil {
+				return nil, err
+			}
+			return w.snap.Counter(q)
+		})
+		var p *repaircount.Partial
+		if err == nil {
+			p, err = c.CountPartialCtx(ctx, w.cfg.CountWorkers)
+		}
+		var body []byte
+		if err == nil {
+			body, err = store.EncodePartial(&store.PartialFile{
+				ManifestCRC: w.asn.ManifestCRC,
+				Shard:       w.asn.Shard,
+				K:           w.asn.K,
+				SnapshotCRC: w.snap.Digest(),
+				Inner:       p.Inner,
+				NonEnt:      p.NonEnt,
+				Epoch:       w.asn.Epoch,
+				Applied:     w.snap.Version(),
+			})
+		}
+		switch {
+		case err == nil:
+			rw.Header().Set("Content-Type", "text/plain")
+			rw.Write(body)
+		case ctx.Err() != nil:
+			w.gate.WriteCtxErr(rw, ctx)
+		default:
+			server.WriteErr(rw, http.StatusInternalServerError,
+				server.APIError{Code: "internal", Message: err.Error()})
+		}
 	})
-	if err != nil {
-		server.WriteErr(rw, http.StatusInternalServerError,
-			server.APIError{Code: "internal", Message: err.Error()})
-		return
-	}
-	rw.Header().Set("Content-Type", "text/plain")
-	rw.Write(body)
 }
 
 // handleApply applies one forwarded delta batch ("+ Fact"/"- Fact"
@@ -325,7 +286,7 @@ func (w *Worker) handlePartial(rw http.ResponseWriter, r *http.Request) {
 // coordinator knows to reload this worker first.
 func (w *Worker) handleApply(rw http.ResponseWriter, r *http.Request) {
 	w.stats.applies.Add(1)
-	if reason := w.degraded(); reason != "" {
+	if reason := w.health.Reason(); reason != "" {
 		server.WriteErr(rw, http.StatusServiceUnavailable,
 			server.APIError{Code: "degraded", Message: reason})
 		return
@@ -358,32 +319,12 @@ func (w *Worker) handleApply(rw http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	var changed []repaircount.Delta
-	for _, op := range ops {
-		d := repaircount.Insert(op.Fact)
-		if op.Del {
-			d = repaircount.Delete(op.Fact)
-		}
-		n, err := w.snap.Apply(d)
-		if err != nil {
-			err = fmt.Errorf("cluster: worker applying %s: %w", op.Fact, err)
-			w.degrade(err)
-			server.WriteErr(rw, http.StatusInternalServerError,
-				server.APIError{Code: "internal", Message: err.Error()})
-			return
-		}
-		if n > 0 {
-			changed = append(changed, d)
-		}
-	}
-	if len(changed) > 0 {
-		if err := repaircount.AppendJournal(w.asn.ShardPath, changed...); err != nil {
-			err = fmt.Errorf("cluster: worker journaling %d ops: %w", len(changed), err)
-			w.degrade(err)
-			server.WriteErr(rw, http.StatusInternalServerError,
-				server.APIError{Code: "internal", Message: err.Error()})
-			return
-		}
+	if _, err := server.ApplyJournal(w.snap, w.asn.ShardPath, ops); err != nil {
+		err = fmt.Errorf("cluster: worker: %w", err)
+		w.health.Degrade(err)
+		server.WriteErr(rw, http.StatusInternalServerError,
+			server.APIError{Code: "internal", Message: err.Error()})
+		return
 	}
 	server.WriteJSON(rw, http.StatusOK, applyResponse{Epoch: w.asn.Epoch, Applied: w.snap.Version()})
 }
@@ -418,7 +359,7 @@ func (w *Worker) handleReload(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := w.persistAssignment(asn); err != nil {
-		w.degrade(err)
+		w.health.Degrade(err)
 		server.WriteErr(rw, http.StatusInternalServerError,
 			server.APIError{Code: "internal", Message: err.Error()})
 		return
@@ -438,12 +379,13 @@ func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 	w.mu.RLock()
 	resp := map[string]any{
 		"assigned":      w.asn != nil,
-		"degraded":      w.degraded(),
-		"partials":      w.stats.partials.Load(),
+		"degraded":      w.health.Reason(),
 		"partial_skips": w.stats.skips.Load(),
 		"applies":       w.stats.applies.Load(),
 		"reloads":       w.stats.reloads.Load(),
 	}
+	w.gate.Stats(resp)
+	resp["partials"] = resp["probes"]
 	if w.asn != nil {
 		resp["epoch"] = w.asn.Epoch
 		resp["shard"] = w.asn.Shard
@@ -455,12 +397,4 @@ func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.mu.RUnlock()
 	server.WriteJSON(rw, http.StatusOK, resp)
-}
-
-func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
-	if reason := w.degraded(); reason != "" {
-		http.Error(rw, "degraded: "+reason, http.StatusServiceUnavailable)
-		return
-	}
-	rw.Write([]byte("ok\n"))
 }

@@ -29,9 +29,8 @@ type Admission struct {
 	Reason      string   // human-readable refusal, when Mode == AdmitReject
 }
 
-// Ladder is the admission policy, shared by the single-node daemon and
-// the cluster coordinator: the budgets the rungs are priced against and
-// the accuracy served on the FPRAS rung.
+// Ladder is the admission policy: the budgets the rungs are priced
+// against and the accuracy served on the FPRAS rung.
 type Ladder struct {
 	ExactBudget int64
 	MaxSamples  int64
@@ -107,18 +106,15 @@ func (l Ladder) PriceEntry(ent *CacheEntry, c *repaircount.Counter, epoch, versi
 	return adm
 }
 
-// PriceCost prices an externally computed exact cost against the ladder,
-// for topologies where the planned work is not the local plan's total —
-// the cluster coordinator admits the exact rung on the fleet critical
+// PriceCost admits the exact rung on an externally computed cost, for
+// topologies where the planned work is not the local plan's total: the
+// cluster coordinator prices its partition query on the fleet critical
 // path (the max over workers of their components' summed cost), since
-// shards count in parallel.
-func (l Ladder) PriceCost(c *repaircount.Counter, cost int64) Admission {
-	adm := Admission{Engine: repaircount.EngineAuto, PlannedCost: big.NewInt(cost)}
-	if cost <= l.ExactBudget {
-		adm.Mode = AdmitExact
-		return adm
-	}
-	return l.PriceApprox(c, adm)
+// shards count in parallel. It reports false when the cost exceeds the
+// exact budget; the probe is then priced by Price like any other.
+func (l Ladder) PriceCost(cost int64) (Admission, bool) {
+	adm := Admission{Mode: AdmitExact, Engine: repaircount.EngineAuto, PlannedCost: big.NewInt(cost)}
+	return adm, cost <= l.ExactBudget
 }
 
 // PriceApprox prices the FPRAS rung: admit when the Theorem 6.2 sample

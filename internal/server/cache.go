@@ -28,9 +28,9 @@ import (
 // set one.
 const DefaultCacheEntries = 512
 
-// ResultKind names the per-query result memos. Fan is the cluster
-// coordinator's merged fan-out result; the single-node daemon uses
-// Count, Decide and Prob. Approximate and rank results are never cached.
+// ResultKind names the per-query result memos: Count, Decide and Prob
+// for the pipeline's own answers, Fan for a fleet hook's merged fan-out
+// result. Approximate and rank results are never cached.
 type ResultKind uint8
 
 const (
@@ -89,8 +89,7 @@ type CacheEntry struct {
 }
 
 // ProbeCache is the shared, bounded probe cache. One instance is shared
-// by every probe slot of a Server (and by the cluster coordinator's
-// local counting path).
+// by every probe slot of a Server.
 type ProbeCache struct {
 	mu      sync.Mutex
 	cap     int

@@ -17,10 +17,14 @@
 // a thundering herd of identical probes into one count. See the
 // "Serve-path performance" section of the root package docs.
 //
-// The probe plumbing (Pool/Slot), admission policy (Ladder), structured
-// errors (APIError) and ops tail (Tailer) are exported so the
-// distributed topology in internal/cluster serves with byte-identical
-// semantics.
+// There is one probe pipeline. The shard-fleet coordinator of
+// internal/cluster is a Server built by NewFleet with a Fleet hook: the
+// hook claims the partition query's counts and fans them out, hears of
+// every applied batch and every compaction, and adds its counters to
+// /v1/stats. Every other probe, and every claimed count the fleet
+// declines, runs through the handlers below exactly as on the daemon,
+// which has no hook. The probe gate (Gate), write-path health (Health)
+// and batch apply (ApplyJournal) are exported for the shard workers.
 package server
 
 import (
@@ -137,30 +141,64 @@ func (cfg Config) Ladder() Ladder {
 	return Ladder{ExactBudget: cfg.ExactBudget, MaxSamples: cfg.MaxSamples, Eps: cfg.Eps, Delta: cfg.Delta}
 }
 
+// Fleet is the hook through which a distributed topology joins the
+// probe pipeline. Changed and Reshard run under the substrate's write
+// lock, every other method under its read lock, so the fleet always sees
+// the instance version and epoch the probe or batch sees.
+type Fleet interface {
+	// Claims reports whether count probes for qs are the fleet's to try.
+	Claims(qs string) bool
+	// Count tries a claimed count on the fleet at the given instance
+	// version. It returns the rendered exact count with the fleet's
+	// fields of the response body; or a Fallback when the probe is to be
+	// counted by the local pipeline instead; or the failure to answer
+	// (the probe's context error, or an *APIError such as a 502 for a
+	// partial that must not be merged).
+	Count(ctx context.Context, ent *CacheEntry, l Ladder, version uint64) (string, map[string]any, error)
+	// Explain adds the fleet's view of a claimed probe to an explain body
+	// and returns the admission its count gets on the fleet, or false
+	// when the count would fall back.
+	Explain(l Ladder, version uint64, body map[string]any) (Admission, bool)
+	// Changed receives the applied ops that changed the instance.
+	Changed(ops []workload.Update)
+	// Reshard starts a new epoch over snap: once at startup and after
+	// every compaction.
+	Reshard(snap *repaircount.Snapshot, epoch uint64) error
+	// Stats adds the fleet's counters to a /v1/stats body.
+	Stats(body map[string]any)
+}
+
+// Fallback is a fleet's reason for declining a claimed count: the probe
+// is counted by the local pipeline, still exactly, and the response
+// reports the reason.
+type Fallback string
+
+func (f Fallback) Error() string { return string(f) }
+
 // Server is one serving daemon instance. Probes take the read side of mu;
 // the ops applier and compactor take the write side, so counts always see
 // a consistent instance version.
 type Server struct {
 	cfg    Config
 	ladder Ladder
+	gate   *Gate
+	health Health
+	fleet  Fleet // nil on the single-node daemon
 
 	mu      sync.RWMutex
 	snap    *repaircount.Snapshot
 	epoch   uint64 // bumped when the snapshot file is re-mapped (compaction)
 	baseLen int64  // sealed-base bytes of the served file
 
-	pool  *Pool
 	cache *ProbeCache        // nil when CacheEntries < 0
 	probs map[string]float64 // per-fact weights for /v1/prob (nil = uniform)
-
-	degradedReason atomic.Pointer[string]
 
 	appliedOps atomic.Int64
 	journaled  atomic.Int64
 	recovered  int64 // torn bytes dropped at startup
 
 	stats struct {
-		probes, exact, approx, prob, rejected, overloaded, deadline atomic.Int64
+		exact, approx, prob, rejected atomic.Int64
 	}
 
 	tailer   *Tailer
@@ -172,7 +210,12 @@ type Server struct {
 // New recovers, maps and starts serving the snapshot in cfg. The returned
 // server's Handler routes the probe API; Close stops the tailer and
 // releases the mapping.
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return NewFleet(cfg, nil) }
+
+// NewFleet is New with a fleet hook. Before the ops tail starts, a
+// journaled snapshot is compacted and the fleet cuts epoch 1, so the
+// server's epoch is the fleet's shard-set epoch throughout.
+func NewFleet(cfg Config, fleet Fleet) (*Server, error) {
 	cfg.fill()
 	if cfg.SnapshotPath == "" {
 		return nil, fmt.Errorf("server: SnapshotPath is required")
@@ -193,9 +236,10 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		ladder:    cfg.Ladder(),
+		gate:      NewGate(cfg.Workers, cfg.QueueDepth, cfg.Deadline),
+		fleet:     fleet,
 		snap:      snap,
 		baseLen:   st.Size() - snap.JournalBytes(),
-		pool:      NewPool(cfg.Workers, cfg.QueueDepth),
 		recovered: recovered,
 		stop:      make(chan struct{}),
 		tailDone:  make(chan struct{}),
@@ -204,18 +248,23 @@ func New(cfg Config) (*Server, error) {
 		s.cache = NewProbeCache(cfg.CacheEntries)
 	}
 	if cfg.ProbsPath != "" {
-		pf, err := os.Open(cfg.ProbsPath)
-		if err != nil {
+		if s.probs, err = loadProbs(cfg.ProbsPath); err != nil {
 			snap.Close()
-			return nil, fmt.Errorf("server: opening probs %s: %w", cfg.ProbsPath, err)
+			return nil, err
 		}
-		anns, err := workload.ParseProbAnnotations(pf)
-		pf.Close()
+	}
+	if fleet != nil {
+		s.mu.Lock()
+		if snap.JournalBytes() > 0 {
+			err = s.compactLocked()
+		} else {
+			err = s.newEpochLocked()
+		}
+		s.mu.Unlock()
 		if err != nil {
-			snap.Close()
-			return nil, fmt.Errorf("server: parsing probs %s: %w", cfg.ProbsPath, err)
+			s.snap.Close()
+			return nil, err
 		}
-		s.probs = workload.AnnotationMap(anns)
 	}
 	if cfg.OpsPath != "" {
 		s.tailer = &Tailer{
@@ -231,6 +280,23 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// loadProbs reads a per-fact probability annotation file.
+func loadProbs(path string) (map[string]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("server: opening probs %s: %w", path, err)
+	}
+	defer f.Close()
+	anns, err := workload.ParseProbAnnotations(f)
+	if err != nil {
+		return nil, fmt.Errorf("server: parsing probs %s: %w", path, err)
+	}
+	return workload.AnnotationMap(anns), nil
+}
+
+// Config returns the server's configuration with defaults filled in.
+func (s *Server) Config() Config { return s.cfg }
+
 // Recovered returns the torn journal bytes dropped at startup.
 func (s *Server) Recovered() int64 { return s.recovered }
 
@@ -244,21 +310,6 @@ func (s *Server) Close() error {
 	return s.snap.Close()
 }
 
-// degrade marks the daemon read-only after a write-path failure: probes
-// keep answering, the tailer stops, and /healthz fails.
-func (s *Server) degrade(err error) {
-	msg := err.Error()
-	s.degradedReason.CompareAndSwap(nil, &msg)
-}
-
-// degraded returns the write-path failure reason, or "".
-func (s *Server) degraded() string {
-	if p := s.degradedReason.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // buildCounter parses and compiles one query against the current
 // snapshot. Caller holds s.mu.RLock.
 func (s *Server) buildCounter(qs string) (*repaircount.Counter, error) {
@@ -269,29 +320,29 @@ func (s *Server) buildCounter(qs string) (*repaircount.Counter, error) {
 	return s.snap.Counter(q)
 }
 
-// counterFor returns the slot's cached counter for the query text,
-// rebuilding it when absent or when the epoch moved (compaction replaced
-// the substrate). This is the cache-disabled fallback path; with the
-// shared cache on, probes go through acquireEntry instead. Caller holds
-// s.mu.RLock.
-func (s *Server) counterFor(sl *Slot, qs string) (*repaircount.Counter, error) {
-	return sl.Counter(s.epoch, qs, s.buildCounter)
-}
-
-// acquireEntry locks the shared cache entry for qs, writing the
-// transport answer on failure. Caller holds s.mu.RLock and must Release
-// the entry when non-nil.
-func (s *Server) acquireEntry(w http.ResponseWriter, ctx context.Context, qs string) *CacheEntry {
+// counter returns the probe's compiled counter: through the locked
+// shared cache entry, which the caller must Release when non-nil, or
+// from the slot's private counters when the shared cache is off. On
+// failure it writes the transport answer and returns a nil counter.
+// Caller holds s.mu.RLock.
+func (s *Server) counter(w http.ResponseWriter, ctx context.Context, sl *Slot, qs string) (*CacheEntry, *repaircount.Counter) {
+	if s.cache == nil {
+		c, err := sl.Counter(s.epoch, qs, s.buildCounter)
+		if err != nil {
+			badQuery(w, err)
+		}
+		return nil, c
+	}
 	ent, err := s.cache.Acquire(ctx, s.epoch, qs, s.buildCounter)
 	if err != nil {
 		if ctx.Err() != nil {
-			s.writeCtxErr(w, ctx)
+			s.gate.WriteCtxErr(w, ctx)
 		} else {
-			WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+			badQuery(w, err)
 		}
-		return nil
+		return nil, nil
 	}
-	return ent
+	return ent, ent.Counter()
 }
 
 // price returns the probe's admission, memoized per (epoch, version)
@@ -307,16 +358,18 @@ func (s *Server) price(ent *CacheEntry, c *repaircount.Counter, version uint64) 
 	return s.ladder.PriceEntry(ent, c, s.epoch, version)
 }
 
-// writeCtxErr maps a canceled probe context to its transport answer.
-func (s *Server) writeCtxErr(w http.ResponseWriter, ctx context.Context) {
-	if ctx.Err() == context.DeadlineExceeded {
-		s.stats.deadline.Add(1)
-		WriteErr(w, http.StatusGatewayTimeout, APIError{Code: "deadline_exceeded",
-			Message: fmt.Sprintf("probe exceeded the %s deadline", s.cfg.Deadline)})
-		return
+// writeFail answers a probe that failed: with the probe context's own
+// answer when it ended, an *APIError as itself, anything else as a 500.
+func (s *Server) writeFail(w http.ResponseWriter, ctx context.Context, err error) {
+	var ae *APIError
+	switch {
+	case ctx.Err() != nil:
+		s.gate.WriteCtxErr(w, ctx)
+	case errors.As(err, &ae):
+		WriteErr(w, ae.Status, *ae)
+	default:
+		WriteErr(w, http.StatusInternalServerError, APIError{Code: "internal", Message: err.Error()})
 	}
-	// Client went away; the status is never seen.
-	WriteErr(w, 499, APIError{Code: "canceled", Message: "client canceled the probe"})
 }
 
 // Handler routes the probe API.
@@ -329,57 +382,61 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/rank", s.handleRank)
 	mux.HandleFunc("/v1/total", s.handleTotal)
 	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealth)
+	mux.Handle("/healthz", &s.health)
 	return mux
 }
 
-// withProbe runs fn on an acquired slot under the read lock, handling
-// slot acquisition, queue overload and the probe deadline uniformly.
-func (s *Server) withProbe(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context, sl *Slot)) {
-	s.stats.probes.Add(1)
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
-	defer cancel()
-	sl, err := s.pool.Acquire(ctx)
-	if err != nil {
-		if err == ErrOverloaded {
-			s.stats.overloaded.Add(1)
-			WriteErr(w, http.StatusServiceUnavailable, APIError{Code: "overloaded",
-				Message: fmt.Sprintf("%d probes already queued", s.cfg.QueueDepth)})
-			return
-		}
-		s.writeCtxErr(w, ctx)
-		return
+// writeCount renders an exact count. A fallback reason marks a claimed
+// probe the fleet declined: its engine reads "local" and the reason is
+// reported.
+func (s *Server) writeCount(w http.ResponseWriter, r *http.Request, str string, engine repaircount.EngineKind, version uint64, fallback string) {
+	body := map[string]any{
+		"mode": "exact", "count": str,
+		"engine": engine.String(), "version": version, "epoch": s.epoch,
 	}
-	defer s.pool.Release(sl)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fn(ctx, sl)
+	if fallback != "" {
+		body["engine"], body["fallback_reason"] = "local", fallback
+	}
+	WriteResult(w, r, str, body)
 }
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	qs, err := ProbeQuery(r)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+		badQuery(w, err)
 		return
 	}
-	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
+	s.gate.Run(w, r, &s.mu, func(ctx context.Context, sl *Slot) {
 		version := s.snap.Version()
-		var ent *CacheEntry
-		var c *repaircount.Counter
-		if s.cache != nil {
-			if ent = s.acquireEntry(w, ctx, qs); ent == nil {
+		ent, c := s.counter(w, ctx, sl, qs)
+		if c == nil {
+			return
+		}
+		if ent != nil {
+			defer s.cache.Release(ent)
+		}
+		var fallback string
+		if s.fleet != nil && s.fleet.Claims(qs) {
+			str, body, err := s.fleet.Count(ctx, ent, s.ladder, version)
+			var fb Fallback
+			switch {
+			case err == nil:
+				s.stats.exact.Add(1)
+				body["mode"], body["count"], body["version"], body["epoch"] = "exact", str, version, s.epoch
+				WriteResult(w, r, str, body)
+				return
+			case !errors.As(err, &fb):
+				s.writeFail(w, ctx, err)
 				return
 			}
-			defer s.cache.Release(ent)
+			fallback = string(fb)
+		}
+		if ent != nil {
 			if res, ok := ent.Result(ResultCount, s.epoch, version); ok {
 				s.stats.exact.Add(1)
-				WriteResult(w, r, res.Str, map[string]any{
-					"mode": "exact", "count": res.Str,
-					"engine": res.Engine.String(), "version": version, "epoch": s.epoch,
-				})
+				s.writeCount(w, r, res.Str, res.Engine, version, fallback)
 				return
 			}
-			c = ent.Counter()
 			// The per-text memo missed; a structurally identical query may
 			// already have computed this count. Equal count fingerprints
 			// imply equal counts, so the aliased result is served as-is
@@ -388,18 +445,9 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 				if res, ok := s.cache.ResultByFP(ResultCount, fp, s.epoch, version); ok {
 					s.stats.exact.Add(1)
 					ent.StoreResult(ResultCount, s.epoch, version, res)
-					WriteResult(w, r, res.Str, map[string]any{
-						"mode": "exact", "count": res.Str,
-						"engine": res.Engine.String(), "version": version, "epoch": s.epoch,
-					})
+					s.writeCount(w, r, res.Str, res.Engine, version, fallback)
 					return
 				}
-			}
-		} else {
-			var err error
-			if c, err = s.counterFor(sl, qs); err != nil {
-				WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-				return
 			}
 		}
 		adm := s.price(ent, c, version)
@@ -416,31 +464,21 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 						s.cache.StoreResultByFP(ResultCount, fp, s.epoch, version, res)
 					}
 				}
-				WriteResult(w, r, str, map[string]any{
-					"mode": "exact", "count": str,
-					"engine": engine.String(), "version": version, "epoch": s.epoch,
-				})
+				s.writeCount(w, r, str, engine, version, fallback)
 				return
-			case ctx.Err() != nil:
-				s.writeCtxErr(w, ctx)
-				return
-			case errors.Is(err, repaircount.ErrBudget):
+			case ctx.Err() == nil && errors.Is(err, repaircount.ErrBudget):
 				// The runtime fallback chain ran out of budget despite the
 				// plan's price: degrade to the FPRAS rung below.
 				adm = s.ladder.PriceApprox(c, adm)
 			default:
-				WriteErr(w, http.StatusInternalServerError, APIError{Code: "internal", Message: err.Error()})
+				s.writeFail(w, ctx, err)
 				return
 			}
 		}
 		if adm.Mode == AdmitApprox {
 			est, err := c.ApproximateParallelCtx(ctx, s.cfg.Eps, s.cfg.Delta, s.cfg.CountWorkers, s.cfg.Seed)
 			if err != nil {
-				if ctx.Err() != nil {
-					s.writeCtxErr(w, ctx)
-					return
-				}
-				WriteErr(w, http.StatusInternalServerError, APIError{Code: "internal", Message: err.Error()})
+				s.writeFail(w, ctx, err)
 				return
 			}
 			s.stats.approx.Add(1)
@@ -465,6 +503,13 @@ func probResponse(res CachedResult, version, epoch uint64) (string, map[string]a
 	}
 }
 
+// reject answers a refused probe with a structured 429.
+func (s *Server) reject(w http.ResponseWriter, e APIError) {
+	s.stats.rejected.Add(1)
+	e.Code, e.ExactBudget = "budget_exceeded", s.cfg.ExactBudget
+	WriteErr(w, http.StatusTooManyRequests, e)
+}
+
 // handleProb answers /v1/prob: the probability that a random repair
 // entails the query under the daemon's per-fact weight annotations
 // (-probs; uniform without one), evaluated through the compiled-circuit
@@ -478,17 +523,16 @@ func probResponse(res CachedResult, version, epoch uint64) (string, map[string]a
 func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) {
 	qs, err := ProbeQuery(r)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+		badQuery(w, err)
 		return
 	}
-	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
+	s.gate.Run(w, r, &s.mu, func(ctx context.Context, sl *Slot) {
 		version := s.snap.Version()
-		var ent *CacheEntry
-		var c *repaircount.Counter
-		if s.cache != nil {
-			if ent = s.acquireEntry(w, ctx, qs); ent == nil {
-				return
-			}
+		ent, c := s.counter(w, ctx, sl, qs)
+		if c == nil {
+			return
+		}
+		if ent != nil {
 			defer s.cache.Release(ent)
 			if res, ok := ent.Result(ResultProb, s.epoch, version); ok {
 				s.stats.prob.Add(1)
@@ -496,39 +540,25 @@ func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) {
 				WriteResult(w, r, str, resp)
 				return
 			}
-			c = ent.Counter()
-		} else {
-			if c, err = s.counterFor(sl, qs); err != nil {
-				WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-				return
-			}
 		}
 		plan, err := c.ExplainPlan(repaircount.EngineCompile)
-		if err != nil {
-			s.stats.rejected.Add(1)
-			WriteErr(w, http.StatusTooManyRequests, APIError{Code: "budget_exceeded",
-				Message: fmt.Sprintf("probability probe needs the circuit engine: %v", err), ExactBudget: s.cfg.ExactBudget})
+		switch {
+		case err != nil:
+			s.reject(w, APIError{Message: fmt.Sprintf("probability probe needs the circuit engine: %v", err)})
 			return
-		}
-		if plan.Engine == repaircount.EngineEnumFO {
-			s.stats.rejected.Add(1)
-			WriteErr(w, http.StatusTooManyRequests, APIError{Code: "budget_exceeded",
-				Message:     "no circuit (and no weighted counter) exists outside existential positive FO",
-				ExactBudget: s.cfg.ExactBudget})
+		case plan.Engine == repaircount.EngineEnumFO:
+			s.reject(w, APIError{Message: "no circuit (and no weighted counter) exists outside existential positive FO"})
 			return
-		}
-		if !plan.AlwaysTrue && plan.Budget > s.cfg.ExactBudget {
-			s.stats.rejected.Add(1)
-			WriteErr(w, http.StatusTooManyRequests, APIError{Code: "budget_exceeded",
+		case !plan.AlwaysTrue && plan.Budget > s.cfg.ExactBudget:
+			s.reject(w, APIError{
 				Message:     fmt.Sprintf("planned circuit work %d exceeds the exact budget (no approximate rung for weighted counting)", plan.Budget),
-				ExactBudget: s.cfg.ExactBudget, PlannedCost: fmt.Sprint(plan.Budget)})
+				PlannedCost: fmt.Sprint(plan.Budget)})
 			return
 		}
 		iv, err := c.ProbabilityOf(c.FactWeights(s.probs))
 		if err != nil {
 			if errors.Is(err, repaircount.ErrBudget) {
-				s.stats.rejected.Add(1)
-				WriteErr(w, http.StatusTooManyRequests, APIError{Code: "budget_exceeded", Message: err.Error(), ExactBudget: s.cfg.ExactBudget})
+				s.reject(w, APIError{Message: err.Error()})
 				return
 			}
 			WriteErr(w, http.StatusBadRequest, APIError{Code: "prob_unavailable", Message: err.Error()})
@@ -547,31 +577,26 @@ func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	qs, err := ProbeQuery(r)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+		badQuery(w, err)
 		return
 	}
-	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
+	s.gate.Run(w, r, &s.mu, func(ctx context.Context, sl *Slot) {
 		version := s.snap.Version()
+		ent, c := s.counter(w, ctx, sl, qs)
+		if c == nil {
+			return
+		}
 		var entailed bool
-		if s.cache != nil {
-			ent := s.acquireEntry(w, ctx, qs)
-			if ent == nil {
-				return
-			}
+		if ent != nil {
 			defer s.cache.Release(ent)
 			res, ok := ent.Result(ResultDecide, s.epoch, version)
 			if !ok {
-				res = CachedResult{Entailed: ent.Counter().Decide()}
+				res = CachedResult{Entailed: c.Decide()}
 				res.Str = fmt.Sprintf("%v", res.Entailed)
 				ent.StoreResult(ResultDecide, s.epoch, version, res)
 			}
 			entailed = res.Entailed
 		} else {
-			c, err := s.counterFor(sl, qs)
-			if err != nil {
-				WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-				return
-			}
 			entailed = c.Decide()
 		}
 		WriteResult(w, r, fmt.Sprintf("%v", entailed), map[string]any{
@@ -580,36 +605,33 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleExplain prices a probe without running it. For a probe the fleet
+// claims, the fleet adds its view and prices the exact rung on its
+// critical path when it would serve the count.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	qs, err := ProbeQuery(r)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+		badQuery(w, err)
 		return
 	}
-	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
+	s.gate.Run(w, r, &s.mu, func(ctx context.Context, sl *Slot) {
 		version := s.snap.Version()
-		var adm Admission
-		if s.cache != nil {
-			ent := s.acquireEntry(w, ctx, qs)
-			if ent == nil {
-				return
-			}
+		ent, c := s.counter(w, ctx, sl, qs)
+		if c == nil {
+			return
+		}
+		if ent != nil {
 			defer s.cache.Release(ent)
-			adm = s.price(ent, ent.Counter(), version)
-		} else {
-			c, err := s.counterFor(sl, qs)
-			if err != nil {
-				WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-				return
-			}
-			adm = s.ladder.Price(c)
 		}
-		resp := map[string]any{
-			"admission": adm.Mode,
-			"engine":    adm.Engine.String(),
-			"version":   version,
-			"epoch":     s.epoch,
+		resp := map[string]any{"version": version, "epoch": s.epoch}
+		adm, fanned := Admission{}, false
+		if s.fleet != nil && s.fleet.Claims(qs) {
+			adm, fanned = s.fleet.Explain(s.ladder, version, resp)
 		}
+		if !fanned {
+			adm = s.price(ent, c, version)
+		}
+		resp["admission"], resp["engine"] = adm.Mode, adm.Engine.String()
 		if adm.PlannedCost != nil {
 			resp["planned_cost"] = adm.PlannedCost.String()
 		}
@@ -629,13 +651,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	qs, err := ProbeQuery(r)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+		badQuery(w, err)
 		return
 	}
-	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
+	s.gate.Run(w, r, &s.mu, func(ctx context.Context, sl *Slot) {
 		q, err := repaircount.ParseQuery(qs)
 		if err != nil {
-			WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+			badQuery(w, err)
 			return
 		}
 		ranked, err := s.snap.RankAnswers(q)
@@ -645,7 +667,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 				WriteErr(w, http.StatusTooManyRequests, APIError{Code: "budget_exceeded", Message: err.Error()})
 				return
 			}
-			WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+			badQuery(w, err)
 			return
 		}
 		type answer struct {
@@ -668,7 +690,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTotal(w http.ResponseWriter, r *http.Request) {
-	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
+	s.gate.Run(w, r, &s.mu, func(ctx context.Context, sl *Slot) {
 		version := s.snap.Version()
 		var str string
 		if s.cache != nil {
@@ -693,22 +715,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		opsOffset = s.tailer.Offset()
 	}
 	resp := map[string]any{
-		"epoch":            s.epoch,
-		"version":          s.snap.Version(),
-		"journal_bytes":    journalBytes,
-		"applied_ops":      s.appliedOps.Load(),
-		"journaled_ops":    s.journaled.Load(),
-		"ops_offset":       opsOffset,
-		"recovered_bytes":  s.recovered,
-		"degraded":         s.degraded(),
-		"probes":           s.stats.probes.Load(),
-		"exact_probes":     s.stats.exact.Load(),
-		"approx_probes":    s.stats.approx.Load(),
-		"prob_probes":      s.stats.prob.Load(),
-		"rejected_probes":  s.stats.rejected.Load(),
-		"overloaded":       s.stats.overloaded.Load(),
-		"deadline_expired": s.stats.deadline.Load(),
+		"epoch":           s.epoch,
+		"version":         s.snap.Version(),
+		"journal_bytes":   journalBytes,
+		"applied_ops":     s.appliedOps.Load(),
+		"journaled_ops":   s.journaled.Load(),
+		"ops_offset":      opsOffset,
+		"recovered_bytes": s.recovered,
+		"degraded":        s.health.Reason(),
+		"exact_probes":    s.stats.exact.Load(),
+		"approx_probes":   s.stats.approx.Load(),
+		"prob_probes":     s.stats.prob.Load(),
+		"rejected_probes": s.stats.rejected.Load(),
 	}
+	s.gate.Stats(resp)
 	var cs CacheStats
 	if s.cache != nil {
 		cs = s.cache.Stats()
@@ -718,14 +738,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp["cache_evictions"] = cs.Evictions
 	resp["cache_entries"] = cs.Entries
 	resp["cache_fp_merges"] = cs.FPMerges
+	if s.fleet != nil {
+		s.fleet.Stats(resp)
+	}
 	s.mu.RUnlock()
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if reason := s.degraded(); reason != "" {
-		http.Error(w, "degraded: "+reason, http.StatusServiceUnavailable)
-		return
-	}
-	w.Write([]byte("ok\n"))
 }

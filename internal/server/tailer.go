@@ -15,11 +15,11 @@ import (
 	"repaircount/internal/workload"
 )
 
-// The tailer is the daemon's only write path. It polls the ops file for
-// new complete lines ("+ Fact" / "- Fact", # comments), applies them
-// through the owner's Apply callback (which takes the write lock,
-// patches the live instance and journals the changed ops with an
-// fsync'd append), and then — only after the batch is durably applied —
+// The tailer drives the only write path of the daemon and the
+// coordinator. It polls the ops file for new complete lines ("+ Fact" /
+// "- Fact", # comments), applies them through the owner's Apply
+// callback (which takes the write lock, patches the live instance and
+// journals the changed ops with an fsync'd append), and then — only after the batch is durably applied —
 // persists the consumed byte offset to a sidecar file so a restart
 // resumes the tail instead of re-applying the whole stream.
 //
@@ -44,8 +44,7 @@ import (
 const offsetMagic = "CQSO1"
 
 // Tailer follows an append-only update-stream file and hands parsed
-// batches to Apply. It is shared by the single-node daemon and the
-// cluster coordinator.
+// batches to Apply.
 type Tailer struct {
 	// OpsPath is the stream file to follow.
 	OpsPath string
@@ -189,35 +188,53 @@ func (t *Tailer) persistOffset() error {
 func (s *Server) tailLoop() {
 	defer close(s.tailDone)
 	if err := s.tailer.Run(s.stop); err != nil {
-		s.degrade(err)
+		s.health.Degrade(err)
 	}
 }
 
-// applyBatch applies one parsed batch under the write lock, journals the
-// ops that changed the instance, and triggers compaction when due.
-func (s *Server) applyBatch(ops []workload.Update) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var changed []repaircount.Delta
+// ApplyJournal applies one batch of ops to the snapshot's live instance
+// and journals the ops that changed it to the snapshot file at path with
+// an fsync'd append, returning those ops. The caller holds the lock that
+// excludes probes from the snapshot.
+func ApplyJournal(snap *repaircount.Snapshot, path string, ops []workload.Update) ([]workload.Update, error) {
+	var changed []workload.Update
+	var deltas []repaircount.Delta
 	for _, op := range ops {
 		d := repaircount.Insert(op.Fact)
 		if op.Del {
 			d = repaircount.Delete(op.Fact)
 		}
-		n, err := s.snap.Apply(d)
+		n, err := snap.Apply(d)
 		if err != nil {
-			return fmt.Errorf("server: applying %s: %w", op.Fact, err)
+			return nil, fmt.Errorf("applying %s: %w", op.Fact, err)
 		}
 		if n > 0 {
-			changed = append(changed, d)
+			changed = append(changed, op)
+			deltas = append(deltas, d)
 		}
 	}
-	s.appliedOps.Add(int64(len(ops)))
-	if len(changed) > 0 {
-		if err := repaircount.AppendJournal(s.cfg.SnapshotPath, changed...); err != nil {
-			return fmt.Errorf("server: journaling %d ops: %w", len(changed), err)
+	if len(deltas) > 0 {
+		if err := repaircount.AppendJournal(path, deltas...); err != nil {
+			return nil, fmt.Errorf("journaling %d ops: %w", len(deltas), err)
 		}
-		s.journaled.Add(int64(len(changed)))
+	}
+	return changed, nil
+}
+
+// applyBatch applies and journals one parsed batch under the write lock,
+// hands the changed ops to the fleet, and compacts when the journal
+// outgrows CompactBytes.
+func (s *Server) applyBatch(ops []workload.Update) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	changed, err := ApplyJournal(s.snap, s.cfg.SnapshotPath, ops)
+	if err != nil {
+		return fmt.Errorf("server: %w", err)
+	}
+	s.appliedOps.Add(int64(len(ops)))
+	s.journaled.Add(int64(len(changed)))
+	if s.fleet != nil && len(changed) > 0 {
+		s.fleet.Changed(changed)
 	}
 	if s.cfg.CompactBytes > 0 {
 		// The mapped length is fixed at open, so the live journal size
@@ -233,8 +250,8 @@ func (s *Server) applyBatch(ops []workload.Update) error {
 }
 
 // compactLocked rewrites the snapshot without its journal (atomic
-// temp+rename), remaps it, and bumps the epoch so worker caches rebuild
-// over the new substrate. Caller holds the write lock.
+// temp+rename), remaps it and starts a new epoch over it. Caller holds
+// the write lock.
 func (s *Server) compactLocked() error {
 	if err := repaircount.CompactSnapshot(s.cfg.SnapshotPath, s.cfg.SnapshotPath); err != nil {
 		return err
@@ -251,6 +268,20 @@ func (s *Server) compactLocked() error {
 	old := s.snap
 	s.snap = snap
 	s.baseLen = st.Size() - snap.JournalBytes()
+	err = s.newEpochLocked()
+	if cerr := old.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// newEpochLocked bumps the epoch, so counters and memos built over the
+// previous mapping rebuild, and has the fleet re-cut its shards over the
+// current snapshot. Caller holds the write lock.
+func (s *Server) newEpochLocked() error {
 	s.epoch++
-	return old.Close()
+	if s.fleet == nil {
+		return nil
+	}
+	return s.fleet.Reshard(s.snap, s.epoch)
 }

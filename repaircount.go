@@ -226,9 +226,11 @@
 //
 // internal/server wraps the whole stack as a long-lived HTTP/JSON daemon
 // (`repairctl serve`): one mmapped snapshot, a bounded worker pool
-// answering /v1/count, /v1/decide, /v1/explain, /v1/rank and /v1/total
-// probes, with per-worker matcher and counter reuse over the shared live
-// substrate. Three robustness layers make it safe to leave running:
+// answering /v1/count, /v1/decide, /v1/explain, /v1/rank, /v1/prob and
+// /v1/total probes, with per-worker matcher and counter reuse over the
+// shared live substrate. It is the only probe pipeline and the only
+// write path: the coordinator below is the same server with a fleet
+// hook. Three robustness layers make it safe to leave running:
 //
 //   - Admission ladder. Every count probe is priced before it runs, using
 //     the same planner report ExplainPlan exposes. Plans within the exact
@@ -261,13 +263,15 @@
 // internal/cluster scales the daemon out across the shard pipeline.
 // A worker (repairctl worker) maps exactly one shard .cqs and answers
 // /v1/partial with a digest-stamped CQSP-equivalent partial; a
-// coordinator (repairctl coordinate) owns the CQSM manifest and the
-// ops tail, prices every probe once with ExplainPlan (the admission
-// ladder is cluster-aware: the fleet critical path — the max over
-// workers of their components' summed planned cost — is what is
-// compared against the exact budget), and fans the partition query out
-// concurrently with core.Stop cancellation propagated on client
-// disconnect.
+// coordinator (repairctl coordinate) is the daemon — same endpoints,
+// handlers, cache, admission ladder and ops tail — plus a fleet hook
+// (server.NewFleet) that owns the CQSM manifest. The hook claims counts
+// of the partition query, prices their exact rung on the fleet critical
+// path (the max over workers of their components' summed planned cost,
+// since shards count in parallel), and fans them out concurrently with
+// core.Stop cancellation propagated on client disconnect; it hears of
+// every applied batch, to stream it on, and of every compaction, to
+// re-shard.
 //
 // The distributed path is bit-exact or loudly refused, never
 // approximately merged:
@@ -298,7 +302,7 @@
 //
 // # Serve-path performance: the shared probe cache
 //
-// Both daemons put a bounded, concurrency-safe probe cache
+// The probe server puts a bounded, concurrency-safe probe cache
 // (internal/server.ProbeCache) in front of the counting substrate, so
 // the hot path of a serving workload — the same queries probed again
 // and again between deltas — stops re-paying per-probe fixed costs
@@ -326,8 +330,8 @@
 // keeps the entry table at its configured size (repairctl
 // -cache-entries). /v1/stats exposes hit/miss/evict counters.
 //
-// The coordinator reuses the same cache for its local rungs and adds
-// two fleet-level layers: merged fan-out results memoized per cut
+// On the coordinator the same cache serves every local rung, and the
+// fleet hook adds two fleet-level layers: merged fan-out results memoized per cut
 // (epoch, version), and per-worker partials remembered alongside.
 // Caching must not mask worker death, so fan-outs always contact every
 // worker — a probe sends the remembered (epoch, applied) stamp as
