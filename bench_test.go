@@ -1,4 +1,4 @@
-package repaircount
+package repaircount_test
 
 // Benchmark harness: one benchmark per experiment of the reproduction's
 // suite (E01–E15, see DESIGN.md §4 and EXPERIMENTS.md), each timing the
@@ -11,11 +11,18 @@ package repaircount
 // Time everything with:          go test -bench=. -benchmem
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repaircount"
 	"repaircount/internal/core"
 	"repaircount/internal/eval"
 	"repaircount/internal/experiments"
@@ -23,6 +30,8 @@ import (
 	"repaircount/internal/query"
 	"repaircount/internal/relational"
 	"repaircount/internal/repairs"
+	"repaircount/internal/server"
+	"repaircount/internal/store"
 	"repaircount/internal/workload"
 )
 
@@ -286,6 +295,95 @@ func BenchmarkFPRASPadded(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
 }
 
+// BenchmarkColdProbePadded serves one cold exact count per iteration
+// through the daemon's handler: the SameDept query over an Employee
+// instance of 20 ids, padded with 0 or 100k key-unique filler blocks.
+// The shared cache is off and every iteration's query text is fresh, so
+// each probe parses, builds a counter, prices its admission and counts.
+// A cold probe's cost should follow the blocks the query reads: the two
+// sizes should time within 2× of each other.
+func BenchmarkColdProbePadded(b *testing.B) {
+	for _, n := range []int{0, 100_000} {
+		h := paddedDaemon(b, n)
+		b.Run(fmt.Sprintf("filler=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				coldCount(b, h, i)
+			}
+		})
+	}
+}
+
+// paddedDaemon starts a cache-off daemon over Employee(20) plus n filler
+// blocks and returns its handler.
+func paddedDaemon(b *testing.B, n int) http.Handler {
+	rng := rand.New(rand.NewPCG(11, 20))
+	db, ks := workload.Employee(rng, 20, 5, 0.4)
+	if n > 0 {
+		db, ks = workload.WithFiller(db, ks, "Filler", n, 1)
+	}
+	path := filepath.Join(b.TempDir(), "padded.cqs")
+	if err := store.WriteFile(path, db, ks); err != nil {
+		b.Fatal(err)
+	}
+	s, err := server.New(server.Config{SnapshotPath: path, Workers: 1, CacheEntries: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	return s.Handler()
+}
+
+// coldCount serves the i-th fresh SameDept count and checks it was
+// counted exactly.
+func coldCount(b *testing.B, h http.Handler, i int) {
+	q := fmt.Sprintf("exists x%d, y%d, z%d . (Employee(1, x%d, y%d) & Employee(2, z%d, y%d))", i, i, i, i, i, i, i)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/count?q="+url.QueryEscape(q), nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"mode":"exact"`) {
+		b.Fatalf("cold count: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// BenchmarkJournalAppend times the daemon's write path for a one-op
+// batch — apply to the served live instance, then an fsync'd journal
+// append — on snapshots of 1k and 100k facts. Iterations alternate an
+// insert and a delete of one fact, so the instance stays the same size.
+// The append validates nothing against the file (the live apply did),
+// so its cost should not grow with the snapshot.
+func BenchmarkJournalAppend(b *testing.B) {
+	for _, n := range []int{1_000, 100_000} {
+		db, ks, _ := workload.MultiComponent(10, 10, 2) // 200 facts
+		db, ks = workload.WithFiller(db, ks, "Filler", n-db.Len(), 1)
+		path := filepath.Join(b.TempDir(), "journal.cqs")
+		if err := store.WriteFile(path, db, ks); err != nil {
+			b.Fatal(err)
+		}
+		snap, err := repaircount.OpenSnapshot(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { snap.Close() })
+		ops := []workload.Update{
+			{Fact: relational.NewFact("C0", "k0", "v9")},
+			{Del: true, Fact: relational.NewFact("C0", "k0", "v9")},
+		}
+		// The parity carries over the benchmark's repeated runs; the first
+		// run (b.N = 1) also builds the index's lazy access paths.
+		next := 0
+		b.Run(fmt.Sprintf("facts=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				changed, err := server.ApplyJournal(snap, path, ops[next%2:next%2+1])
+				if err != nil || len(changed) != 1 {
+					b.Fatalf("append %d: %d ops changed the instance, err %v", next, len(changed), err)
+				}
+				next++
+			}
+		})
+	}
+}
+
 func BenchmarkFPRASParallel(b *testing.B) {
 	db, ks, q := employeeWorkload(b, 500)
 	in := repairs.MustInstance(db, ks, q)
@@ -437,7 +535,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := WriteSnapshot(f, db, keys); err != nil {
+	if err := repaircount.WriteSnapshot(f, db, keys); err != nil {
 		b.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -446,7 +544,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap, err := OpenSnapshot(path)
+		snap, err := repaircount.OpenSnapshot(path)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -467,11 +565,11 @@ func BenchmarkSnapshotParseIndex(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pdb, pks, err := ParseInstanceString(text)
+		pdb, pks, err := repaircount.ParseInstanceString(text)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := NewCounter(pdb, pks, q); err != nil {
+		if _, err := repaircount.NewCounter(pdb, pks, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -497,7 +595,7 @@ func TestBenchFixturesSane(t *testing.T) {
 
 func BenchmarkCountSharded(b *testing.B) {
 	db, ks, q := workload.MultiComponent(8, 10, 2)
-	c, err := NewCounter(db, ks, q)
+	c, err := repaircount.NewCounter(db, ks, q)
 	if err != nil {
 		b.Fatal(err)
 	}

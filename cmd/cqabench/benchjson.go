@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repaircount"
 	"repaircount/internal/cluster"
 	"repaircount/internal/eval"
 	"repaircount/internal/query"
@@ -730,6 +731,10 @@ func kernelBenchmarks() []struct {
 				serveGet(b, probe, mode)
 			}
 		}},
+		{"ColdProbePadded0", coldProbePadded(0)},
+		{"ColdProbePadded100k", coldProbePadded(100_000)},
+		{"JournalAppend1k", journalAppend(1_000)},
+		{"JournalAppend100k", journalAppend(100_000)},
 		{"RecountRebuildMultiComp", func(b *testing.B) {
 			// Rebuild-from-scratch baseline for RecountAfterDelta: parse the
 			// text instance, decompose blocks, build the index and count —
@@ -753,6 +758,88 @@ func kernelBenchmarks() []struct {
 				}
 			}
 		}},
+	}
+}
+
+// coldProbePadded is the ColdProbePadded kernel at n filler blocks: one
+// cold exact count per iteration, served through the daemon's handler
+// with the shared cache off and a fresh query text, over Employee(20) —
+// the SameDept query reads two of its blocks — padded with n key-unique
+// filler blocks. A cold probe's cost should follow the blocks the query
+// reads, so the 0 and 100k kernels should time within 2× of each other.
+func coldProbePadded(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		rng := rand.New(rand.NewPCG(11, 20))
+		db, ks := workload.Employee(rng, 20, 5, 0.4)
+		if n > 0 {
+			db, ks = workload.WithFiller(db, ks, "Filler", n, 1)
+		}
+		path := filepath.Join(b.TempDir(), "padded.cqs")
+		if err := store.WriteFile(path, db, ks); err != nil {
+			b.Fatal(err)
+		}
+		s, err := server.New(server.Config{SnapshotPath: path, Workers: 1, CacheEntries: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { s.Close() })
+		h := s.Handler()
+		exact := []byte(`"mode":"exact"`)
+		probe := func(i int) {
+			q := fmt.Sprintf("exists x%d, y%d, z%d . (Employee(1, x%d, y%d) & Employee(2, z%d, y%d))", i, i, i, i, i, i, i)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/count?q="+url.QueryEscape(q), nil))
+			if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), exact) {
+				b.Fatalf("cold count: status %d: %s", rec.Code, rec.Body)
+			}
+		}
+		// Warm-up: the first probe builds the substrate's lazy, shared
+		// structures (membership buckets, key partition, aggregates).
+		probe(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 1; i <= b.N; i++ {
+			probe(i)
+		}
+	}
+}
+
+// journalAppend is the JournalAppend kernel on a snapshot of n facts: the
+// daemon's write path for a one-op batch (apply to the served live
+// instance, then an fsync'd journal append), alternating an insert and a
+// delete of one fact. The append does not reload the snapshot, so its
+// cost should not grow with n.
+func journalAppend(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		db, ks, _ := workload.MultiComponent(10, 10, 2) // 200 facts
+		db, ks = workload.WithFiller(db, ks, "Filler", n-db.Len(), 1)
+		path := filepath.Join(b.TempDir(), "journal.cqs")
+		if err := store.WriteFile(path, db, ks); err != nil {
+			b.Fatal(err)
+		}
+		snap, err := repaircount.OpenSnapshot(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { snap.Close() })
+		ops := []workload.Update{
+			{Fact: relational.NewFact("C0", "k0", "v9")},
+			{Del: true, Fact: relational.NewFact("C0", "k0", "v9")},
+		}
+		apply := func(i int) {
+			if changed, err := server.ApplyJournal(snap, path, ops[i%2:i%2+1]); err != nil || len(changed) != 1 {
+				b.Fatalf("append %d: %d ops changed the instance, err %v", i, len(changed), err)
+			}
+		}
+		// Warm-up: the first mutation builds the index's lazy access
+		// paths (membership buckets, posting lists, domain refcounts).
+		apply(0)
+		apply(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			apply(i)
+		}
 	}
 }
 

@@ -17,7 +17,11 @@ func benchKernel(b *testing.B, name string) {
 	b.Fatalf("no kernel %s", name)
 }
 
-func BenchmarkProbeThroughput(b *testing.B)   { benchKernel(b, "ProbeThroughput") }
-func BenchmarkProbeColdRepeat(b *testing.B)   { benchKernel(b, "ProbeColdRepeat") }
-func BenchmarkProbeMixed(b *testing.B)        { benchKernel(b, "ProbeMixed") }
-func BenchmarkAdmissionOverhead(b *testing.B) { benchKernel(b, "AdmissionOverhead") }
+func BenchmarkProbeThroughput(b *testing.B)     { benchKernel(b, "ProbeThroughput") }
+func BenchmarkProbeColdRepeat(b *testing.B)     { benchKernel(b, "ProbeColdRepeat") }
+func BenchmarkProbeMixed(b *testing.B)          { benchKernel(b, "ProbeMixed") }
+func BenchmarkAdmissionOverhead(b *testing.B)   { benchKernel(b, "AdmissionOverhead") }
+func BenchmarkColdProbePadded0(b *testing.B)    { benchKernel(b, "ColdProbePadded0") }
+func BenchmarkColdProbePadded100k(b *testing.B) { benchKernel(b, "ColdProbePadded100k") }
+func BenchmarkJournalAppend1k(b *testing.B)     { benchKernel(b, "JournalAppend1k") }
+func BenchmarkJournalAppend100k(b *testing.B)   { benchKernel(b, "JournalAppend100k") }

@@ -16,6 +16,7 @@ import (
 
 	"repaircount"
 	"repaircount/internal/cluster"
+	"repaircount/internal/core"
 	"repaircount/internal/relational"
 	"repaircount/internal/server"
 	"repaircount/internal/workload"
@@ -233,6 +234,31 @@ func TestTopologyOverloadAndDeadline(t *testing.T) {
 			running()
 			if status != http.StatusServiceUnavailable || errCode(t, body) != "overloaded" {
 				t.Fatalf("full queue: status %d body %v, want 503 overloaded", status, body)
+			}
+		})
+	}
+}
+
+// TestTopologySampleBoundCap pins the FPRAS rung's ceiling on both
+// topologies: a -max-samples above the sampler's own cap is clamped to
+// it, so a probe whose Theorem 6.2 bound exceeds the cap is refused with
+// a structured 429 reporting the bound — not admitted and then failed by
+// the sampler with a 500.
+func TestTopologySampleBoundCap(t *testing.T) {
+	db, ks, _ := workload.MultiComponent(6, 8, 2)
+	fixture := writeSnapshot(t, t.TempDir(), db, ks)
+	partition := disjunction(0, 3)
+	cfg := server.Config{ExactBudget: 1, Eps: 1e-4, MaxSamples: 1 << 50}
+	for _, tp := range topologies {
+		t.Run(tp.name, func(t *testing.T) {
+			ts := tp.start(t, copySnapshot(t, fixture), partition, cfg)
+			status, body, raw := get(t, ts, countURL(disjunction(0, 6)))
+			if status != http.StatusTooManyRequests || errCode(t, body) != "budget_exceeded" {
+				t.Fatalf("status %d, want 429 budget_exceeded: %s", status, raw)
+			}
+			e := body["error"].(map[string]any)
+			if e["sample_bound"] == nil || e["max_samples"] != float64(core.MaxApxSamples) {
+				t.Fatalf("refusal lacks the sample bound or the clamped cap %d: %s", core.MaxApxSamples, raw)
 			}
 		})
 	}

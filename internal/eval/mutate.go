@@ -2,6 +2,7 @@ package eval
 
 import (
 	"sort"
+	"sync"
 
 	"repaircount/internal/relational"
 )
@@ -238,6 +239,11 @@ type LiveInstance struct {
 	Keys   *relational.KeySet
 	Blocks *relational.BlockSeq
 	Idx    *Index
+
+	// memos holds the Memo values built at version memoVer.
+	memoMu  sync.Mutex
+	memoVer uint64
+	memos   map[any]any
 }
 
 // NewLiveInstance bundles an existing coherent substrate: blocks must be
@@ -250,6 +256,29 @@ func NewLiveInstance(db *relational.Database, ks *relational.KeySet, blocks *rel
 // Version returns the monotonically increasing instance version (the
 // number of successful mutations since construction).
 func (li *LiveInstance) Version() uint64 { return li.Idx.Version() }
+
+// Memo returns the value memoized under key at the current version,
+// building it with build on first use. It serves read-only structures
+// derived from the whole substrate — the ones every counter would derive
+// identically, such as the rendered block domains — once per version to
+// all counters sharing the instance instead of once per counter. Keys are
+// values of caller-defined unexported types, so packages cannot collide;
+// values must be treated as read-only. build runs under the memo's lock,
+// so it must not call Memo. Safe for concurrent readers; the next
+// mutation invalidates every memo.
+func (li *LiveInstance) Memo(key any, build func() any) any {
+	li.memoMu.Lock()
+	defer li.memoMu.Unlock()
+	if v := li.Version(); li.memos == nil || li.memoVer != v {
+		li.memos, li.memoVer = map[any]any{}, v
+	}
+	x, ok := li.memos[key]
+	if !ok {
+		x = build()
+		li.memos[key] = x
+	}
+	return x
+}
 
 // Apply performs one mutation — insert (del=false) or delete (del=true) of
 // fact f — across the database, the block sequence and the index. It

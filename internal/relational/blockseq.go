@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"math/big"
 	"sort"
 	"sync"
 )
@@ -18,6 +19,12 @@ import (
 // Block fact slices may alias shared arenas (the snapshot loader's mapped
 // columns, the Blocks fact arena); the first mutation of a block replaces
 // its slice with a private copy, never writing through the original.
+//
+// Besides the sequence it answers the block aggregates the counting layer
+// needs without walking every block: Π|B_i| (Total) and max|B_i|
+// (MaxSize), from a block-size histogram maintained under Insert/Remove,
+// and the contiguous range of one predicate's blocks (PredRange).
+//
 // A BlockSeq is not safe for concurrent mutation.
 type BlockSeq struct {
 	blocks []Block
@@ -28,6 +35,15 @@ type BlockSeq struct {
 	biMu    sync.Mutex
 	bi      *BlockIndex
 	version uint64
+
+	// aggMu guards the aggregates, which concurrent readers build lazily.
+	// hist[s] is the number of blocks of size s, with no trailing zeros
+	// (so max|B_i| = len(hist)−1); it is built on first use and then
+	// maintained per mutation. total is Π|B_i| at version totalVer.
+	aggMu    sync.Mutex
+	hist     []int
+	total    *big.Int
+	totalVer uint64
 }
 
 // NewBlockSeq wraps an existing canonical block sequence (as produced by
@@ -61,6 +77,88 @@ func (s *BlockSeq) Index() *BlockIndex {
 	return bi
 }
 
+// PredRange returns the positions [lo, hi) of pred's blocks. The canonical
+// order sorts blocks by predicate first, so they are one contiguous range
+// (empty, lo == hi, when pred has no facts).
+func (s *BlockSeq) PredRange(pred string) (lo, hi int) {
+	lo = sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].Key.Pred >= pred })
+	hi = lo + sort.Search(len(s.blocks)-lo, func(i int) bool { return s.blocks[lo+i].Key.Pred > pred })
+	return lo, hi
+}
+
+// Total returns |rep(D,Σ)| = Π|B_i|, computed once per version from the
+// block-size histogram (Π_s s^{#blocks of size s}). The result is shared
+// by every caller at this version and must not be mutated. Safe for
+// concurrent read-only callers.
+func (s *BlockSeq) Total() *big.Int {
+	s.aggMu.Lock()
+	defer s.aggMu.Unlock()
+	if s.total != nil && s.totalVer == s.version {
+		return s.total
+	}
+	s.ensureHist()
+	t := big.NewInt(1)
+	var base, exp, pow big.Int
+	for size := 2; size < len(s.hist); size++ {
+		if n := s.hist[size]; n > 0 {
+			pow.Exp(base.SetInt64(int64(size)), exp.SetInt64(int64(n)), nil)
+			t.Mul(t, &pow)
+		}
+	}
+	s.total, s.totalVer = t, s.version
+	return t
+}
+
+// MaxSize returns max_i |B_i| (0 for an empty sequence): the m of the
+// FPRAS sample bound. Safe for concurrent read-only callers.
+func (s *BlockSeq) MaxSize() int {
+	s.aggMu.Lock()
+	defer s.aggMu.Unlock()
+	s.ensureHist()
+	return max(len(s.hist)-1, 0)
+}
+
+// ensureHist builds the block-size histogram on first use. Caller holds
+// aggMu.
+func (s *BlockSeq) ensureHist() {
+	if s.hist != nil {
+		return
+	}
+	s.hist = []int{}
+	for _, b := range s.blocks {
+		s.histAdd(b.Size(), 1)
+	}
+}
+
+// noteResize records that one block changed size from `from` to `to`
+// (0 stands for a block that did not or no longer exists). A histogram not
+// built yet is left for ensureHist.
+func (s *BlockSeq) noteResize(from, to int) {
+	s.aggMu.Lock()
+	defer s.aggMu.Unlock()
+	if s.hist == nil {
+		return
+	}
+	if from > 0 {
+		s.histAdd(from, -1)
+	}
+	if to > 0 {
+		s.histAdd(to, 1)
+	}
+}
+
+// histAdd adjusts the count of blocks of the given size, keeping the
+// histogram free of trailing zeros. Caller holds aggMu.
+func (s *BlockSeq) histAdd(size, delta int) {
+	for len(s.hist) <= size {
+		s.hist = append(s.hist, 0)
+	}
+	s.hist[size] += delta
+	for len(s.hist) > 0 && s.hist[len(s.hist)-1] == 0 {
+		s.hist = s.hist[:len(s.hist)-1]
+	}
+}
+
 // Insert adds fact f to the partition: into its existing block (keeping
 // the block's canonical fact order) or, for a fresh key value, as a new
 // block at its canonical position. It reports whether the sequence changed
@@ -79,6 +177,7 @@ func (s *BlockSeq) Insert(ks *KeySet, f Fact) bool {
 		facts = append(facts, f)
 		facts = append(facts, b.Facts[i:]...)
 		b.Facts = facts
+		s.noteResize(len(facts)-1, len(facts))
 		s.version++
 		return true
 	}
@@ -87,6 +186,7 @@ func (s *BlockSeq) Insert(ks *KeySet, f Fact) bool {
 	copy(s.blocks[pos+1:], s.blocks[pos:])
 	s.blocks[pos] = Block{Key: kv, Facts: []Fact{f}}
 	s.noteSpliceIn(pos)
+	s.noteResize(0, 1)
 	s.version++
 	return true
 }
@@ -109,6 +209,7 @@ func (s *BlockSeq) Remove(ks *KeySet, f Fact) bool {
 		s.blocks[len(s.blocks)-1] = Block{}
 		s.blocks = s.blocks[:len(s.blocks)-1]
 		s.noteSpliceOut(pos, key)
+		s.noteResize(1, 0)
 		s.version++
 		return true
 	}
@@ -116,6 +217,7 @@ func (s *BlockSeq) Remove(ks *KeySet, f Fact) bool {
 	facts = append(facts, b.Facts[:i]...)
 	facts = append(facts, b.Facts[i+1:]...)
 	b.Facts = facts
+	s.noteResize(len(facts)+1, len(facts))
 	s.version++
 	return true
 }

@@ -10,7 +10,9 @@ import (
 // database plus maintained BlockSeq and asserts, after every operation,
 // that the maintained sequence equals the from-scratch decomposition —
 // order, keys and within-block fact order — and that the maintained
-// BlockIndex resolves every key to the right position.
+// BlockIndex resolves every key to the right position, and that the
+// maintained aggregates (Total, MaxSize, PredRange) equal a walk over the
+// from-scratch blocks.
 func TestBlockSeqDifferential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 3))
 	ks := Keys(map[string]int{"R": 1, "S": 2})
@@ -29,6 +31,7 @@ func TestBlockSeqDifferential(t *testing.T) {
 	}
 	bs := NewBlockSeq(Blocks(db, ks))
 	bs.Index() // build early so every splice exercises index maintenance
+	bs.Total() // likewise the block-size histogram
 
 	randomFact := func() Fact {
 		switch rng.IntN(3) {
@@ -101,6 +104,26 @@ func TestBlockSeqDifferential(t *testing.T) {
 		}
 		if _, ok := bs.Index().FindKey(KeyValue{Pred: "R", Vals: []Const{"nope"}}); ok {
 			t.Fatalf("step %d: index resolves an absent key", step)
+		}
+		if got, want := bs.Total(), NumRepairsOfBlocks(want); got.Cmp(want) != 0 {
+			t.Fatalf("step %d: maintained total %s vs canonical %s", step, got, want)
+		}
+		if got, want := bs.MaxSize(), MaxBlockSize(want); got != want {
+			t.Fatalf("step %d: maintained max block size %d vs canonical %d", step, got, want)
+		}
+		for _, pred := range []string{"A", "R", "S", "T", "U"} {
+			lo, hi := bs.PredRange(pred)
+			wantLo := 0
+			for wantLo < len(want) && want[wantLo].Key.Pred < pred {
+				wantLo++
+			}
+			wantHi := wantLo
+			for wantHi < len(want) && want[wantHi].Key.Pred == pred {
+				wantHi++
+			}
+			if lo != wantLo || hi != wantHi {
+				t.Fatalf("step %d: PredRange(%s) = [%d, %d), want [%d, %d)", step, pred, lo, hi, wantLo, wantHi)
+			}
 		}
 	}
 }

@@ -15,8 +15,11 @@ func NumRepairs(d *Database, ks *KeySet) *big.Int {
 // NumRepairsOfBlocks returns ∏_i |B_i| for a precomputed block sequence.
 func NumRepairsOfBlocks(blocks []Block) *big.Int {
 	n := big.NewInt(1)
+	var size big.Int
 	for _, b := range blocks {
-		n.Mul(n, big.NewInt(int64(b.Size())))
+		if b.Size() != 1 {
+			n.Mul(n, size.SetInt64(int64(b.Size())))
+		}
 	}
 	return n
 }

@@ -56,11 +56,18 @@ func BlockDomains(blocks []relational.Block) []core.Domain {
 	return doms
 }
 
-// Domains memoizes the block domains of the instance.
+// domainsKey keys the rendered block domains in the live substrate's
+// per-version memo.
+type domainsKey struct{}
+
+// Domains returns the block domains of the instance. Rendering them
+// builds a canonical string per fact of the database, so they are
+// memoized on the live substrate per version and shared, read-only, by
+// every counter over it. Callers must not mutate the result.
 func (in *Instance) Domains() []core.Domain {
 	in.refresh()
 	if in.domsMemo == nil {
-		in.domsMemo = BlockDomains(in.Blocks)
+		in.domsMemo = in.live.Memo(domainsKey{}, func() any { return BlockDomains(in.Blocks) }).([]core.Domain)
 	}
 	return in.domsMemo
 }
@@ -97,13 +104,11 @@ func (in *Instance) SelectorFor(c Certificate) core.Selector {
 	return s
 }
 
-// blockIndex memoizes the key-value → block-position index.
+// blockIndex returns the key-value → block-position index the live block
+// sequence maintains (shared by every counter over the substrate).
 func (in *Instance) blockIndex() *relational.BlockIndex {
 	in.refresh()
-	if in.blockIdxMemo == nil {
-		in.blockIdxMemo = relational.NewBlockIndex(in.Blocks)
-	}
-	return in.blockIdxMemo
+	return in.live.Blocks.Index()
 }
 
 // CertificateBoxes materializes the distinct boxes of all certificates.
@@ -134,9 +139,41 @@ func (in *Instance) countIE(budget int, stop *core.Stop) (*big.Int, error) {
 // made executable): for keywidth ≤ 1 every certificate box pins at most
 // one block, and the union is |U| − ∏(|B_i| − #pinned facts of B_i),
 // a linear-time product. It fails when some box pins several blocks.
+//
+// A block no box pins contributes the same factor |B_i| to the product
+// as to |U|, so the product is evaluated as |U| / Π_pinned |B_i| ×
+// Π_pinned (|B_i| − #pinned_i), with |U| the maintained repair total:
+// the closed form costs time in the pinned blocks, not the database
+// (core.CountUnionOnePin computes the same integer over every domain).
 func (in *Instance) CountLambda1() (*big.Int, error) {
 	if !in.IsEP {
 		return nil, fmt.Errorf("repairs: CountLambda1 needs an existential positive query, have %s", in.Q)
 	}
-	return core.CountUnionOnePin(in.Domains(), in.CertificateBoxes())
+	boxes := in.CertificateBoxes()
+	total := in.TotalRepairs()
+	pinned := map[int]map[core.Element]bool{}
+	for _, b := range boxes {
+		switch b.Len() {
+		case 0:
+			// The empty selector's box is the whole universe.
+			return total, nil
+		case 1:
+			p := b[0]
+			if pinned[p.Index] == nil {
+				pinned[p.Index] = map[core.Element]bool{}
+			}
+			pinned[p.Index][p.Elem] = true
+		default:
+			return nil, core.ErrNotOnePin
+		}
+	}
+	sizes, avoid := big.NewInt(1), big.NewInt(1)
+	var x big.Int
+	for i, elems := range pinned {
+		size := int64(in.Blocks[i].Size())
+		sizes.Mul(sizes, x.SetInt64(size))
+		avoid.Mul(avoid, x.SetInt64(size-int64(len(elems))))
+	}
+	avoid.Mul(avoid, x.Quo(total, sizes))
+	return total.Sub(total, avoid), nil
 }

@@ -27,22 +27,28 @@ import (
 //
 // The matcher only visits facts of the query's predicates, so membership
 // reads only the coordinates of those blocks: they form the read set
-// (Reads), and the per-fact lookup tables cover only their facts.
-// Samplers then draw a tuple in time proportional to the query's relevant
-// blocks, while Doms — and so m, |U| and the sample bound — still span
-// every block.
+// (Reads), and the per-fact lookup table (an ordSlots over their facts)
+// covers only their facts. Samplers then draw a tuple in time
+// proportional to the query's relevant blocks. Doms — and so m, |U| and
+// the sample bound — still span every block; the domains are rendered
+// once per instance version and shared by every counter on the live
+// substrate (Domains).
 func (in *Instance) Compactor() (*core.Compactor, error) {
 	if err := in.needEP(); err != nil {
 		return nil, err
 	}
 	doms := in.Domains()
 	split := in.relevant()
-	// Per fact ordinal of a relevant fact: the position of its block in
-	// the domain sequence, and its element encoding within that domain.
-	// "Fact chosen by tuple" is then one slot load and one string compare.
-	nf := in.Idx.NumFacts()
-	blockPos := make([]int32, nf)
-	elemOf := make([]core.Element, nf)
+	// Per relevant fact, in block order: its fact ordinal, the position of
+	// its block in the domain sequence and its element encoding within
+	// that domain. "Fact chosen by tuple" is then one table lookup and one
+	// string compare.
+	n := 0
+	for _, b := range split.rel {
+		n += b.Size()
+	}
+	ords, blockPos := make([]int32, 0, n), make([]int32, 0, n)
+	elemOf := make([]core.Element, 0, n)
 	for i, b := range split.rel {
 		p := split.relPos[i]
 		for j, f := range b.Facts {
@@ -50,10 +56,12 @@ func (in *Instance) Compactor() (*core.Compactor, error) {
 			if !ok {
 				return nil, fmt.Errorf("repairs: block fact %s outside the instance index", f)
 			}
-			blockPos[ord] = int32(p)
-			elemOf[ord] = doms[p].Elems[j]
+			ords = append(ords, ord)
+			blockPos = append(blockPos, int32(p))
+			elemOf = append(elemOf, doms[p].Elems[j])
 		}
 	}
+	slots := newOrdSlots(ords)
 	ucq := in.UCQ
 	idx := in.Idx
 	memberFactory := func() func([]core.Element) bool {
@@ -62,7 +70,10 @@ func (in *Instance) Compactor() (*core.Compactor, error) {
 		// the current tuple through cur, so a membership probe allocates
 		// nothing.
 		var cur []core.Element
-		filter := func(ord int32) bool { return cur[blockPos[ord]] == elemOf[ord] }
+		filter := func(ord int32) bool {
+			sl := slots.at(ord)
+			return cur[blockPos[sl]] == elemOf[sl]
+		}
 		return func(tuple []core.Element) bool {
 			cur = tuple
 			return m.HasHomWhere(filter)

@@ -85,18 +85,15 @@ func (in *Instance) ApxParallelStop(eps, delta float64, workers int, seed uint64
 // ApxSampleBound reports the Theorem 6.2 sample count t the FPRAS would
 // run at the given accuracy, without drawing a sample — the serving
 // layer prices an approximate probe against its budget with it. It reads
-// m = max|B_i| off the block sizes and k = kw(Q,Σ) off the query, the same
-// m and k the compactor's FPRAS uses, without building the compactor.
+// m = max|B_i| off the live block sequence's maintained aggregate and
+// k = kw(Q,Σ) off the query, the same m and k the compactor's FPRAS uses,
+// without building the compactor.
 func (in *Instance) ApxSampleBound(eps, delta float64) (*big.Int, error) {
 	if err := in.needEP(); err != nil {
 		return nil, err
 	}
 	in.refresh()
-	m := 0
-	for _, b := range in.Blocks {
-		m = max(m, b.Size())
-	}
-	return core.SampleBound(m, in.Keywidth(), eps, delta), nil
+	return core.SampleBound(in.live.Blocks.MaxSize(), in.Keywidth(), eps, delta), nil
 }
 
 // ApxParallelWithSamples runs the Algorithm 3 estimator with an explicit

@@ -1,9 +1,11 @@
 package repairs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 
 	"repaircount/internal/eval"
@@ -36,13 +38,19 @@ import (
 
 // relevantSplit classifies the canonical block sequence by query relevance:
 // UCQ truth depends only on facts whose predicate occurs in the query, so
-// counts over the irrelevant blocks factor out as Π|B_i|. Computed once per
-// instance and shared by the exact, parallel and factorized counters.
+// counts over the irrelevant blocks factor out as Π|B_i|. The canonical
+// order sorts blocks by predicate first, so the relevant blocks are one
+// contiguous range per query predicate, found by binary search on the
+// live block sequence; the irrelevant blocks are never visited — their
+// factor is the maintained repair total divided by the relevant one. The
+// split therefore costs time in the query's blocks, not the database's.
+// Computed once per instance version and shared by the exact, parallel
+// and factorized counters.
 type relevantSplit struct {
-	rel, irr []relational.Block
-	relPos   []int    // positions of rel in the block sequence, ascending
-	inner    *big.Int // Π sizes over rel
-	outer    *big.Int // Π sizes over irr
+	rel    []relational.Block
+	relPos []int    // positions of rel in the block sequence, ascending
+	inner  *big.Int // Π sizes over rel
+	outer  *big.Int // Π sizes over the irrelevant blocks: total / inner
 }
 
 // relevant memoizes the relevant/irrelevant block split. Valid only for
@@ -50,21 +58,25 @@ type relevantSplit struct {
 func (in *Instance) relevant() *relevantSplit {
 	in.refresh()
 	if in.relSplitMemo == nil {
-		pred := map[string]bool{}
-		for _, p := range in.UCQ.Predicates() {
-			pred[p] = true
+		// Predicates() is sorted, as is the canonical block order, so the
+		// ranges — and relPos — come out ascending.
+		preds := in.UCQ.Predicates()
+		ranges := make([][2]int, len(preds))
+		n := 0
+		for i, p := range preds {
+			lo, hi := in.live.Blocks.PredRange(p)
+			ranges[i] = [2]int{lo, hi}
+			n += hi - lo
 		}
-		s := &relevantSplit{}
-		for i, b := range in.Blocks {
-			if pred[b.Key.Pred] {
-				s.rel = append(s.rel, b)
+		s := &relevantSplit{rel: make([]relational.Block, 0, n), relPos: make([]int, 0, n)}
+		for _, r := range ranges {
+			s.rel = append(s.rel, in.Blocks[r[0]:r[1]]...)
+			for i := r[0]; i < r[1]; i++ {
 				s.relPos = append(s.relPos, i)
-			} else {
-				s.irr = append(s.irr, b)
 			}
 		}
 		s.inner = relational.NumRepairsOfBlocks(s.rel)
-		s.outer = relational.NumRepairsOfBlocks(s.irr)
+		s.outer = new(big.Int).Quo(in.live.Blocks.Total(), s.inner)
 		in.relSplitMemo = s
 	}
 	return in.relSplitMemo
@@ -99,12 +111,14 @@ type component struct {
 type factorization struct {
 	split         *relevantSplit
 	conf          []relational.Block // relevant blocks with ≥ 2 facts
+	confOff       []int32            // conf block ci's facts are confOrds[confOff[ci]:confOff[ci+1]]
+	confOrds      []int32            // fact ordinals of the conf blocks, block by block
 	alwaysTrue    bool               // some homomorphism uses only always-present facts
 	masked        bool               // hom budget exceeded: predicate-level components + matcher-mask engine
 	comps         []component
 	untouched     *big.Int // Π sizes of conflicting blocks in no box (they never affect Q)
 	untouchedConf []int32  // conf positions of those box-free blocks
-	baseMask      []uint64 // all facts allowed except those of conflicting relevant blocks
+	baseMask      []uint64 // masked path only: all facts allowed except those of the conf blocks
 }
 
 // factorization returns (building and memoizing on first use) the component
@@ -124,38 +138,39 @@ func (in *Instance) factorization(homBudget int) *factorization {
 
 func newFactorization(in *Instance, homBudget int) *factorization {
 	f := &factorization{split: in.relevant(), untouched: big.NewInt(1)}
+	// Map fact ordinals of conflicting relevant facts to (block, choice)
+	// through a table over those facts alone; every other fact is present
+	// in every repair.
+	nConf, nFacts := 0, 0
 	for _, b := range f.split.rel {
 		if b.Size() > 1 {
-			f.conf = append(f.conf, b)
+			nConf++
+			nFacts += b.Size()
 		}
 	}
-	// Map fact ordinals of conflicting relevant facts to (block, choice);
-	// every other fact is present in every repair.
-	nOrd := in.Idx.NumFacts()
-	ordBlock := make([]int32, nOrd)
-	ordChoice := make([]int32, nOrd)
-	for i := range ordBlock {
-		ordBlock[i] = -1
-	}
-	for ci, b := range f.conf {
+	f.conf = make([]relational.Block, 0, nConf)
+	f.confOff = make([]int32, 1, nConf+1)
+	f.confOrds = make([]int32, 0, nFacts)
+	confBlock := make([]int32, 0, nFacts)
+	confChoice := make([]int32, 0, nFacts)
+	for _, b := range f.split.rel {
+		if b.Size() < 2 {
+			continue
+		}
+		ci := int32(len(f.conf))
+		f.conf = append(f.conf, b)
 		for j, fact := range b.Facts {
 			ord, ok := in.Idx.OrdinalOf(fact)
 			if !ok {
 				panic(fmt.Sprintf("repairs: block fact %s missing from instance index", fact))
 			}
-			ordBlock[ord] = int32(ci)
-			ordChoice[ord] = int32(j)
+			f.confOrds = append(f.confOrds, ord)
+			confBlock = append(confBlock, ci)
+			confChoice = append(confChoice, int32(j))
 		}
+		f.confOff = append(f.confOff, int32(len(f.confOrds)))
 	}
-	f.baseMask = make([]uint64, (nOrd+63)/64)
-	for i := range f.baseMask {
-		f.baseMask[i] = ^uint64(0)
-	}
-	for ord, ci := range ordBlock {
-		if ci >= 0 {
-			f.baseMask[ord/64] &^= 1 << (uint(ord) % 64)
-		}
-	}
+	confSlot := newOrdSlots(f.confOrds)
 
 	// Extract one box per distinct Σ-consistent homomorphic image: the
 	// (block, choice) pairs the image pins among the conflicting relevant
@@ -184,8 +199,8 @@ func newFactorization(in *Instance, homBudget int) *factorization {
 			}
 			req = req[:0]
 			for _, ord := range ords {
-				if ci := ordBlock[ord]; ci >= 0 {
-					req = append(req, [2]int32{ci, ordChoice[ord]})
+				if sl := confSlot.at(ord); sl >= 0 {
+					req = append(req, [2]int32{confBlock[sl], confChoice[sl]})
 				}
 			}
 			if len(req) == 0 {
@@ -242,6 +257,13 @@ func newFactorization(in *Instance, homBudget int) *factorization {
 		// facts of that disjunct's predicates. First probe whether the
 		// always-present facts alone entail the query (the masked analogue
 		// of an empty box).
+		f.baseMask = make([]uint64, (in.Idx.NumFacts()+63)/64)
+		for i := range f.baseMask {
+			f.baseMask[i] = ^uint64(0)
+		}
+		for _, ord := range f.confOrds {
+			f.baseMask[ord/64] &^= 1 << (uint(ord) % 64)
+		}
 		if eval.NewUCQMatcher(in.UCQ, in.Idx).HasHomMasked(f.baseMask) {
 			f.alwaysTrue = true
 			return f
@@ -280,7 +302,7 @@ func newFactorization(in *Instance, homBudget int) *factorization {
 			groups[g] = append(groups[g], int32(ci))
 		}
 		for _, g := range groups {
-			f.comps = append(f.comps, f.buildComponent(in, g))
+			f.comps = append(f.comps, f.buildComponent(g))
 		}
 		return f
 	}
@@ -320,7 +342,7 @@ func newFactorization(in *Instance, homBudget int) *factorization {
 		for d, ci := range members[id] {
 			local[ci] = int32(d)
 		}
-		c := f.buildComponent(in, members[id])
+		c := f.buildComponent(members[id])
 		c.numBoxes = len(compBoxes[id])
 		c.boxOff = make([]int32, c.numBoxes+1)
 		nReq := 0
@@ -348,7 +370,7 @@ func newFactorization(in *Instance, homBudget int) *factorization {
 
 // buildComponent lays out the digits, slots and fact ordinals of one
 // component over the given conflicting-block positions.
-func (f *factorization) buildComponent(in *Instance, blocks []int32) component {
+func (f *factorization) buildComponent(blocks []int32) component {
 	c := component{
 		blocks:  blocks,
 		sizes:   make([]int32, len(blocks)),
@@ -360,12 +382,9 @@ func (f *factorization) buildComponent(in *Instance, blocks []int32) component {
 		c.slotOff[d+1] = c.slotOff[d] + c.sizes[d]
 		c.space = mulSat(c.space, int64(c.sizes[d]))
 	}
-	c.ords = make([]int32, c.slotOff[len(blocks)])
-	for d, ci := range blocks {
-		for j, fact := range f.conf[ci].Facts {
-			ord, _ := in.Idx.OrdinalOf(fact)
-			c.ords[c.slotOff[d]+int32(j)] = ord
-		}
+	c.ords = make([]int32, 0, c.slotOff[len(blocks)])
+	for _, ci := range blocks {
+		c.ords = append(c.ords, f.confOrds[f.confOff[ci]:f.confOff[ci+1]]...)
 	}
 	return c
 }
@@ -427,4 +446,76 @@ func mulSat(a, b int64) int64 {
 		return math.MaxInt64
 	}
 	return a * b
+}
+
+// ordSlots numbers a set of fact ordinals densely: at(ord) is the position
+// of ord in the list the table was built from, or -1 when ord is not in
+// it. The table covers only runs of nearby ordinals — one per predicate's
+// canonical range, plus facts inserted since the index was built — so it
+// is sized by the set, not by the instance index, which is what keeps a
+// probe's lookup tables proportional to the blocks its query reads.
+type ordSlots struct {
+	spans []ordSpan // ascending, disjoint
+	slot  []int32
+}
+
+// ordSpan maps the ordinals [lo, hi) to slot[off+ord-lo].
+type ordSpan struct{ lo, hi, off int32 }
+
+// ordSpanGap is the widest run of absent ordinals a span bridges (with -1
+// entries) rather than starting a new span.
+const ordSpanGap = 16
+
+func newOrdSlots(ords []int32) ordSlots {
+	byOrd := make([]int32, len(ords))
+	for i := range byOrd {
+		byOrd[i] = int32(i)
+	}
+	less := func(a, b int32) int { return cmp.Compare(ords[a], ords[b]) }
+	if !slices.IsSortedFunc(byOrd, less) {
+		slices.SortFunc(byOrd, less)
+	}
+	var t ordSlots
+	size := int32(0)
+	for i := 0; i < len(byOrd); {
+		j := i + 1
+		for j < len(byOrd) && ords[byOrd[j]]-ords[byOrd[j-1]] <= ordSpanGap {
+			j++
+		}
+		sp := ordSpan{lo: ords[byOrd[i]], hi: ords[byOrd[j-1]] + 1, off: size}
+		t.spans = append(t.spans, sp)
+		size += sp.hi - sp.lo
+		i = j
+	}
+	t.slot = make([]int32, size)
+	for i := range t.slot {
+		t.slot[i] = -1
+	}
+	si := 0
+	for _, p := range byOrd {
+		for ords[p] >= t.spans[si].hi {
+			si++
+		}
+		sp := t.spans[si]
+		t.slot[sp.off+ords[p]-sp.lo] = p
+	}
+	return t
+}
+
+// at returns the position of ord in the indexed list, or -1.
+func (t *ordSlots) at(ord int32) int32 {
+	lo, hi := 0, len(t.spans)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.spans[m].hi <= ord {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(t.spans) || ord < t.spans[lo].lo {
+		return -1
+	}
+	sp := &t.spans[lo]
+	return t.slot[sp.off+ord-sp.lo]
 }

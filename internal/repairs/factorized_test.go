@@ -3,6 +3,7 @@ package repairs
 import (
 	"math/big"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -226,8 +227,23 @@ func TestRelevantSplitMemo(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("relevant split not memoized")
 	}
-	if len(s1.rel)+len(s1.irr) != len(in.Blocks) {
-		t.Fatalf("split loses blocks: %d + %d vs %d", len(s1.rel), len(s1.irr), len(in.Blocks))
+	preds := map[string]bool{}
+	for _, p := range in.UCQ.Predicates() {
+		preds[p] = true
+	}
+	var wantPos []int
+	for i, b := range in.Blocks {
+		if preds[b.Key.Pred] {
+			wantPos = append(wantPos, i)
+		}
+	}
+	if !slices.Equal(s1.relPos, wantPos) {
+		t.Fatalf("relevant positions %v, want %v", s1.relPos, wantPos)
+	}
+	for i, p := range s1.relPos {
+		if !s1.rel[i].Key.Equal(in.Blocks[p].Key) {
+			t.Fatalf("relevant block %d is %v, want %v", i, s1.rel[i].Key, in.Blocks[p].Key)
+		}
 	}
 	product := new(big.Int).Mul(s1.inner, s1.outer)
 	if product.Cmp(in.TotalRepairs()) != 0 {

@@ -75,7 +75,6 @@ func (in *Instance) refresh() {
 	}
 	in.memoVer = v
 	in.Blocks = in.live.Blocks.Seq()
-	in.blockIdxMemo = nil
 	in.domsMemo = nil
 	in.decisionMemo = nil
 	in.relSplitMemo = nil

@@ -59,7 +59,6 @@ type Instance struct {
 	live    *eval.LiveInstance
 	memoVer uint64
 
-	blockIdxMemo *relational.BlockIndex
 	domsMemo     []core.Domain
 	decisionMemo *eval.UCQMatcher
 	relSplitMemo *relevantSplit
@@ -149,10 +148,12 @@ func MustInstance(db *relational.Database, ks *relational.KeySet, q query.Formul
 	return inst
 }
 
-// TotalRepairs returns |rep(D,Σ)| = ∏|B_i| (computable in FP, §1.1).
+// TotalRepairs returns |rep(D,Σ)| = ∏|B_i| (computable in FP, §1.1),
+// read off the live block sequence's maintained aggregate. The result is
+// the caller's to keep.
 func (in *Instance) TotalRepairs() *big.Int {
 	in.refresh()
-	return relational.NumRepairsOfBlocks(in.Blocks)
+	return new(big.Int).Set(in.live.Blocks.Total())
 }
 
 // Keywidth returns kw(Q,Σ) for the instance's query (over the UCQ rewriting

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repaircount/internal/core"
+	"repaircount/internal/eval"
 	"repaircount/internal/query"
+	"repaircount/internal/relational"
 	"repaircount/internal/workload"
 )
 
@@ -140,6 +142,56 @@ func TestFPRASPaddingInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("karp-luby", b, p)
+			// Fresh counters over one shared substrate — the way a server
+			// builds one per uncached query over its snapshot — share the
+			// memoized domains and draw exactly what a standalone instance
+			// draws, before and after a delta through a sibling.
+			live := eval.NewLiveInstance(pdb, pks, relational.NewBlockSeq(relational.Blocks(pdb, pks)), eval.IndexDatabase(pdb))
+			first, err := NewLiveInstance(live, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err = base.ApxParallelWithSamples(3000, 2, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				fresh, err := NewLiveInstance(live, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &fresh.Domains()[0] != &first.Domains()[0] {
+					t.Fatal("counters over one substrate rendered their own domains")
+				}
+				p, err := fresh.ApxParallelWithSamples(3000, 2, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("shared substrate", b, p)
+			}
+			extra := relational.NewFact("Pad", "f0", "extra")
+			if _, err := first.Apply(Insert(extra)); err != nil {
+				t.Fatal(err)
+			}
+			mutated := pdb.Clone()
+			mutated.Add(extra)
+			want, err := MustInstance(mutated, pks, q).ApxParallelWithSamples(3000, 2, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewLiveInstance(live, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range []*Instance{first, fresh} {
+				got, err := in.ApxParallelWithSamples(3000, 2, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Samples != want.Samples || got.Hits != want.Hits || got.Value.Cmp(want.Value) != 0 {
+					t.Fatalf("after a delta: shared-substrate run %v (%d hits), standalone %v (%d hits)", got.Value, got.Hits, want.Value, want.Hits)
+				}
+			}
 			// Padding blocks no larger than the base's leave m, and so the
 			// (ε,δ) sample count, unchanged.
 			bt, err := base.ApxSampleBound(0.25, 0.05)

@@ -71,8 +71,9 @@ type Config struct {
 	// (default repairs.DefaultEnumBudget).
 	ExactBudget int64
 	// MaxSamples is the admission ceiling on the Theorem 6.2 sample bound;
-	// probes needing more get a budget_exceeded error (default
-	// core.MaxApxSamples).
+	// probes needing more get a budget_exceeded error (default and
+	// maximum core.MaxApxSamples: the sampler refuses larger bounds, so a
+	// larger value is clamped rather than admitting probes it would fail).
 	MaxSamples int64
 	// Eps and Delta are the accuracy served on the FPRAS rung (defaults
 	// 0.1 and 0.05); responses report them.
@@ -116,7 +117,7 @@ func (cfg *Config) fill() {
 	if cfg.ExactBudget <= 0 {
 		cfg.ExactBudget = int64(repairs.DefaultEnumBudget)
 	}
-	if cfg.MaxSamples <= 0 {
+	if cfg.MaxSamples <= 0 || cfg.MaxSamples > core.MaxApxSamples {
 		cfg.MaxSamples = core.MaxApxSamples
 	}
 	if cfg.Eps <= 0 {
@@ -192,6 +193,14 @@ type Server struct {
 
 	cache *ProbeCache        // nil when CacheEntries < 0
 	probs map[string]float64 // per-fact weights for /v1/prob (nil = uniform)
+
+	// weights is the ordinal-indexed rendering of probs at (epoch,
+	// version), shared read-only by every /v1/prob probe of that state.
+	weights struct {
+		sync.Mutex
+		epoch, version uint64
+		w              []float64
+	}
 
 	appliedOps atomic.Int64
 	journaled  atomic.Int64
@@ -555,7 +564,7 @@ func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) {
 				PlannedCost: fmt.Sprint(plan.Budget)})
 			return
 		}
-		iv, err := c.ProbabilityOf(c.FactWeights(s.probs))
+		iv, err := c.ProbabilityOf(s.factWeights(c, version))
 		if err != nil {
 			if errors.Is(err, repaircount.ErrBudget) {
 				s.reject(w, APIError{Message: err.Error()})
@@ -572,6 +581,20 @@ func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) {
 		str, resp := probResponse(res, version, s.epoch)
 		WriteResult(w, r, str, resp)
 	})
+}
+
+// factWeights returns the /v1/prob weight vector of the current (epoch,
+// version). The vector depends only on the substrate, not on the query,
+// so it is rendered once per state — one canonical string per fact — and
+// shared read-only by every probability probe. Caller holds s.mu.RLock.
+func (s *Server) factWeights(c *repaircount.Counter, version uint64) []float64 {
+	s.weights.Lock()
+	defer s.weights.Unlock()
+	if s.weights.w == nil || s.weights.epoch != s.epoch || s.weights.version != version {
+		s.weights.w = c.FactWeights(s.probs)
+		s.weights.epoch, s.weights.version = s.epoch, version
+	}
+	return s.weights.w
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {

@@ -12,6 +12,7 @@ import (
 
 	"repaircount"
 	"repaircount/internal/faultfs"
+	"repaircount/internal/store"
 	"repaircount/internal/workload"
 )
 
@@ -194,11 +195,14 @@ func (s *Server) tailLoop() {
 
 // ApplyJournal applies one batch of ops to the snapshot's live instance
 // and journals the ops that changed it to the snapshot file at path with
-// an fsync'd append, returning those ops. The caller holds the lock that
-// excludes probes from the snapshot.
+// an fsync'd append, returning those ops. snap must be the snapshot
+// loaded from path: applying the ops to its live instance is what
+// validates them, so the append writes the block without reloading the
+// file, and the write lock is held for the batch, not the snapshot. The
+// caller holds the lock that excludes probes from the snapshot.
 func ApplyJournal(snap *repaircount.Snapshot, path string, ops []workload.Update) ([]workload.Update, error) {
 	var changed []workload.Update
-	var deltas []repaircount.Delta
+	var journal []store.JournalOp
 	for _, op := range ops {
 		d := repaircount.Insert(op.Fact)
 		if op.Del {
@@ -210,12 +214,12 @@ func ApplyJournal(snap *repaircount.Snapshot, path string, ops []workload.Update
 		}
 		if n > 0 {
 			changed = append(changed, op)
-			deltas = append(deltas, d)
+			journal = append(journal, store.JournalOp{Del: op.Del, Fact: op.Fact})
 		}
 	}
-	if len(deltas) > 0 {
-		if err := repaircount.AppendJournal(path, deltas...); err != nil {
-			return nil, fmt.Errorf("journaling %d ops: %w", len(deltas), err)
+	if len(journal) > 0 {
+		if err := store.AppendJournalBlock(path, journal); err != nil {
+			return nil, fmt.Errorf("journaling %d ops: %w", len(journal), err)
 		}
 	}
 	return changed, nil

@@ -173,20 +173,31 @@ func parseJournalOps(p []byte, blockNo int, count uint32) ([]JournalOp, error) {
 }
 
 // AppendJournal appends ops as one journal block to the snapshot file at
-// path, without touching the sealed base bytes. Before writing, the
-// current file (base plus any earlier journal blocks) is loaded and the
-// new ops are replayed against it in memory, so an op the snapshot cannot
-// absorb — an arity clash, or a file whose journal region is already
-// damaged — fails the append instead of poisoning every future load. The
-// write itself extends the file by one self-contained block; earlier
-// bytes are never modified.
+// path, without touching the sealed base bytes. It validates before it
+// writes (ValidateJournal): an op the snapshot cannot absorb fails the
+// append instead of poisoning every future load. That costs a load of
+// the whole snapshot, so it is the path for callers holding no live
+// instance of the file (repairctl apply, the library's AppendJournal).
+// A caller that has already applied the ops to a live instance loaded
+// from this file — the serving daemon — appends with AppendJournalBlock
+// instead, at a cost independent of the snapshot's size.
 func AppendJournal(path string, ops []JournalOp) error {
 	block, err := EncodeJournal(ops)
 	if err != nil {
 		return err
 	}
-	// Dry-run the ops against the loaded snapshot. This also proves the
-	// existing base and journal region decode cleanly end to end.
+	if err := ValidateJournal(path, ops); err != nil {
+		return err
+	}
+	return appendBlock(path, block)
+}
+
+// ValidateJournal proves that ops can be journaled to the snapshot file
+// at path: the current file (base plus any earlier journal blocks) is
+// loaded and the ops are replayed against it in memory. An arity clash,
+// or a file whose base or journal region no longer decodes, is an error.
+// The file is not modified.
+func ValidateJournal(path string, ops []JournalOp) error {
 	snap, err := Open(path)
 	if err != nil {
 		return err
@@ -202,10 +213,28 @@ func AppendJournal(path string, ops []JournalOp) error {
 			return fmt.Errorf("store: journal op %d (%s) cannot apply to %s: %w", i, op.Fact, path, err)
 		}
 	}
-	if err := snap.Close(); err != nil {
+	return snap.Close()
+}
+
+// AppendJournalBlock appends ops as one journal block to the snapshot
+// file at path without validating them: it encodes the block, writes it
+// after the current end of the file and fsyncs, so its cost follows the
+// batch, not the snapshot. The caller vouches that the ops apply — it has
+// applied them to a live instance equal to what the file loads to, as the
+// serving daemon has when it journals a batch. The write extends the file
+// by one self-contained block; earlier bytes are never modified, so a
+// crash mid-append leaves a torn tail that RecoverFile truncates.
+func AppendJournalBlock(path string, ops []JournalOp) error {
+	block, err := EncodeJournal(ops)
+	if err != nil {
 		return err
 	}
+	return appendBlock(path, block)
+}
 
+// appendBlock writes one encoded journal block after the current end of
+// the file at path and fsyncs it.
+func appendBlock(path string, block []byte) error {
 	st, err := os.Stat(path)
 	if err != nil {
 		return err

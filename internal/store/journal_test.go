@@ -194,7 +194,8 @@ func TestJournalValidation(t *testing.T) {
 	}
 }
 
-// TestAppendJournalGuards pins AppendJournal's file checks.
+// TestAppendJournalGuards pins AppendJournal's file checks, and the
+// contracts of its two halves.
 func TestAppendJournalGuards(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "not-a-snapshot")
@@ -231,4 +232,35 @@ func TestAppendJournalGuards(t *testing.T) {
 		t.Fatalf("snapshot unusable after rejected append: %v", err)
 	}
 	snap.Close()
+
+	// The two halves of AppendJournal: ValidateJournal proves without
+	// writing, AppendJournalBlock writes without proving (its caller has
+	// applied the ops to a live instance of the file already).
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.ValidateJournal(path, clash); err == nil {
+		t.Fatal("arity-clashing op validated")
+	}
+	if err := store.ValidateJournal(path, ops); err != nil {
+		t.Fatalf("valid op rejected: %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Fatalf("ValidateJournal modified the file (err %v)", err)
+	}
+	if err := store.AppendJournalBlock(filepath.Join(dir, "missing.cqs"), ops); err == nil {
+		t.Fatal("block appended to a missing file")
+	}
+	if err := store.AppendJournalBlock(path, ops); err != nil {
+		t.Fatal(err)
+	}
+	snap, err = store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if n := snap.NumJournalOps(); n != 1 {
+		t.Fatalf("journal holds %d ops after one appended block, want 1", n)
+	}
 }

@@ -176,7 +176,34 @@
 // blocks of ops after the sealed base (repairctl apply from the command
 // line), the loader replays them through the same delta machinery, and
 // CompactSnapshot (repairctl compact) reseals a clean snapshot with
-// identical counts.
+// identical counts. AppendJournal first validates the ops against a
+// fresh load of the file; the serving daemon, which has just applied the
+// same ops to the live instance it loaded from that file, appends the
+// block without the reload, so its append costs the batch, not the
+// snapshot.
+//
+// # Cold probes cost what the query reads
+//
+// The paper's counts split the repairs in two: blocks of predicates the
+// query never names contribute the factor Π|B_i| and nothing else. The
+// live substrate therefore answers the whole-database aggregates without
+// a walk — the maintained block sequence keeps a block-size histogram
+// under every delta, giving |rep| = Π|B_i| and m = max|B_i| once per
+// version — and the canonical order sorts blocks by predicate first, so
+// the query's relevant blocks are one contiguous range per predicate,
+// found by binary search. The relevant split walks only those ranges and
+// gets the irrelevant factor as |rep| divided by the relevant one; the
+// factorization and the FPRAS compactor map fact ordinals to block
+// choices through tables over the relevant facts alone; the Λ[1] closed
+// form multiplies over the pinned blocks only; and the structures every
+// counter would derive identically from the whole database — the
+// rendered block domains the compactor and the certificate boxes use,
+// the key-value block index, the /v1/prob weight vector — are built once
+// per version and shared by all counters over the substrate instead of
+// once per counter. A cold probe's parse, plan, count and FPRAS set-up
+// thus cost time and memory in the blocks its query reads; padding a
+// database with blocks of other predicates leaves every count, estimate,
+// fingerprint and admission bit-identical.
 //
 // # Sharded counting
 //
@@ -249,8 +276,8 @@
 //     CountCtx / ApproximateParallelCtx / CountShardedCtx / CountPartialCtx
 //     expose the same plumbing here.
 //   - Crash safety. The daemon tails an append-only ops file, applies
-//     deltas through the live substrate, journals them with fsync'd
-//     AppendJournal, and compacts by atomic temp-file-plus-rename
+//     deltas through the live substrate, journals them with an fsync'd
+//     append of one block, and compacts by atomic temp-file-plus-rename
 //     (WriteSnapshot's file path does the same). On startup,
 //     RecoverSnapshot truncates a torn journal tail back to the last
 //     committed block — a kill -9 at any byte of the write path leaves a
@@ -879,9 +906,17 @@ func (s *Snapshot) Blocks() []Block {
 	return blocks
 }
 
-// TotalRepairs returns |rep(D,Σ)| = ∏|B_i| from the preloaded blocks.
+// TotalRepairs returns |rep(D,Σ)| = ∏|B_i|, read off the live block
+// sequence's maintained aggregate (no walk over the blocks). The result is
+// the caller's to keep.
 func (s *Snapshot) TotalRepairs() *big.Int {
-	return relational.NumRepairsOfBlocks(s.Blocks())
+	live, err := s.s.Live()
+	if err != nil {
+		// Materialization already succeeded in newSnapshot; the memoized
+		// error cannot reappear.
+		panic(err)
+	}
+	return new(big.Int).Set(live.Blocks.Total())
 }
 
 // RankAnswers scores every candidate answer tuple of a non-Boolean query
@@ -965,10 +1000,11 @@ func (c *Counter) Snapshot(w io.Writer) error {
 
 // AppendJournal appends the deltas as one self-contained, checksummed
 // journal block to the .cqs snapshot file at path, without rewriting the
-// sealed base. The deltas are validated against the loaded snapshot
-// first, so a delta the instance cannot absorb (e.g. an arity clash)
-// fails the append and leaves the file loadable. OpenSnapshot replays the
-// journal on load, so the file then describes the mutated instance.
+// sealed base. The deltas are validated against a fresh load of the
+// snapshot first, so a delta the instance cannot absorb (e.g. an arity
+// clash) fails the append and leaves the file loadable; that load costs
+// time in the snapshot's size. OpenSnapshot replays the journal on load,
+// so the file then describes the mutated instance.
 func AppendJournal(path string, deltas ...Delta) error {
 	ops := make([]store.JournalOp, len(deltas))
 	for i, d := range deltas {
